@@ -41,13 +41,22 @@ def _default_seed() -> int:
     return int(os.environ.get("QC15_SEED", "0"))
 
 
+def _check_m(m: int) -> int:
+    if m < 1:
+        raise ValidationError(f"m must be at least 1, got {m}")
+    return m
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValidationError(f"--scan-m needs a range LO..HI, got {text!r}")
 
 
 # -- construct / distance ------------------------------------------------------------
@@ -55,7 +64,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_construct(args: argparse.Namespace, with_distance: bool) -> int:
     field = _field(args.q)
-    m = args.m
+    m = _check_m(args.m)
     try:
         a = RingElement.from_text(field, 2 * m, args.a)
         a_prime = RingElement.from_text(field, m, args.a_prime)
@@ -96,7 +105,7 @@ def _fullrank_exact_report(field: PrimeField, m: int) -> EnsembleReport:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     field = _field(args.q)
-    ms = _parse_int_list(args.m)
+    ms = [_check_m(m) for m in _parse_int_list(args.m)]
     seed = args.seed if args.seed is not None else _default_seed()
     deltas: list[Fraction | None]
     if args.fullrank:
@@ -105,6 +114,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not args.delta:
             raise ValidationError("sweep needs --delta unless --fullrank is given")
         deltas = [ensemble.as_fraction(d) for d in args.delta.split(",")]
+        if any(d < 0 for d in deltas):
+            raise ValidationError(f"delta must be nonnegative, got {args.delta}")
 
     reports: list[EnsembleReport] = []
     for m in ms:

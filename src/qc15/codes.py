@@ -84,11 +84,10 @@ class Word:
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p via float64 BLAS; falls back to object ints if unsafe."""
-    inner = a.shape[1]
-    if (p - 1) * (p - 1) * inner < 2**52:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.mod(np.rint(prod), p).astype(np.int64)
+    """Exact (A @ B) mod p for entries in [0, p), in int64; object ints where a
+    dot product could overflow int64."""
+    if (p - 1) ** 2 * a.shape[1] < 2**63:
+        return a.astype(np.int64) @ b.astype(np.int64) % p
     return np.mod(a.astype(object) @ b.astype(object), p).astype(np.int64)
 
 
@@ -121,25 +120,30 @@ def gf_rank(mat: np.ndarray, p: int) -> int:
     return len(gf_rref(mat, p)[1])
 
 
-def leading_independent_rows(mat: np.ndarray, p: int) -> list[int]:
-    """Indices of rows kept by a top-down scan, keeping a row iff it raises the rank."""
+def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Indices of rows kept by a top-down scan, keeping a row iff it raises the rank,
+    and the reduced row echelon form of the kept rows.
+
+    Each kept row is normalized and eliminated from every other row at once,
+    so a row that is still nonzero when the scan reaches it is outside the
+    span of the rows above it, and the kept rows end fully reduced.
+    """
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    work = np.asarray(mat, dtype=dtype) % p
     kept: list[int] = []
-    basis: list[np.ndarray] = []  # rows in row-echelon form, pivot normalized to 1
     pivots: list[int] = []
-    for i in range(mat.shape[0]):
-        row = np.array(mat[i], dtype=np.int64) % p
-        for b, c in zip(basis, pivots):
-            if row[c]:
-                row = (row - row[c] * b) % p
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        row = (row * pow(int(row[c]), -1, p)) % p
-        basis.append(row)
-        pivots.append(c)
+    i = 0
+    while (rest := np.flatnonzero(work[i:].any(axis=1))).size:
+        i += int(rest[0])
+        row = work[i]
+        c = int(np.flatnonzero(row)[0])
+        row = row * pow(int(row[c]), -1, p) % p
+        work = (work - np.outer(work[:, c], row)) % p
+        work[i] = row
         kept.append(i)
-    return kept
+        pivots.append(c)
+        i += 1
+    return kept, work[kept][np.argsort(pivots)].astype(np.int64)
 
 
 # -- circulant blocks --------------------------------------------------------------
@@ -219,6 +223,7 @@ class Qc15Code:
     h: Poly
     dim: int
     gen_matrix: np.ndarray = dc_field(repr=False)
+    rref: np.ndarray = dc_field(repr=False, compare=False)  # RREF of gen_matrix
 
     @property
     def length(self) -> int:
@@ -293,26 +298,36 @@ class Qc15Code:
     ) -> bool:
         """Whether some nonzero codeword has Hamming weight <= max_weight.
 
-        Uses the pivot argument on the reduced row echelon form of the
-        generator matrix: a codeword restricted to the pivot columns equals
-        its own message vector, so any codeword of weight <= w comes from a
-        message of weight <= w. Only those few messages are tried, which is
-        what makes threshold queries fast at co-indexes where a full p^dim
-        sweep is not.
+        Uses a weighted pivot argument on the reduced row echelon form R of
+        the generator matrix. A column of R whose only nonzero entry sits in
+        row r is a multiple of pivot column r, so the codeword y @ R is
+        nonzero there exactly when y_r is. With mult[r] such columns in row
+        r, those columns carry sum(mult[r] for y_r != 0) of the weight of
+        y @ R, and only messages where that sum is <= max_weight can give a
+        light word; the product is taken over the other columns only. On a
+        restricted pair every pivot of the u-part has its copy, mult = 2, so
+        the message weight cap roughly halves. This is what makes threshold
+        queries fast at co-indexes where a full p^dim sweep is not.
+
+        The limit applies to the count of messages of plain weight <=
+        max_weight, an upper bound on the candidates tried.
         """
         if self.dim == 0 or max_weight < 1:
             return False
         if max_weight >= self.length:
             return True
         p = self.field.p
-        cap = min(max_weight, self.dim)
-        n_cand = low_weight_message_count(p, self.dim, cap)
+        n_cand = low_weight_message_count(p, self.dim, min(max_weight, self.dim))
         if n_cand > limit:
             raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
-        rref, _ = gf_rref(self.gen_matrix, p)
-        cand = low_weight_messages(p, self.dim, cap)
-        words = gf_matmul(cand, rref, p)
-        return bool((np.count_nonzero(words, axis=1) <= max_weight).any())
+        nonzero = self.rref != 0
+        single = nonzero.sum(axis=0) == 1
+        mult = nonzero[:, single].sum(axis=1)
+        order = np.argsort(mult, kind="stable")  # one cache entry per multiset of mult
+        cand = low_weight_messages(p, tuple(mult[order].tolist()), max_weight)
+        words = gf_matmul(cand, self.rref[order][:, ~single], p)
+        weights = (cand != 0) @ mult[order] + np.count_nonzero(words, axis=1)
+        return bool((weights <= max_weight).any())
 
     def to_json_dict(self, distance: DistanceResult | None = None) -> dict:
         doc = {
@@ -347,14 +362,15 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     h = check_poly(g, m)
     dim = int(h.degree) if not h.is_zero() else 0
     blocks = span_matrix(a, a_prime)
-    rows = leading_independent_rows(blocks.full, field.p)
+    rows, rref = leading_independent_rows(blocks.full, field.p)
     if len(rows) != dim:
         raise AssertionError(
             f"rank of the span matrix ({len(rows)}) disagrees with deg h ({dim})"
         )
     gen = blocks.full[rows] if rows else np.zeros((0, 3 * m), dtype=np.int64)
     gen.setflags(write=False)
-    return Qc15Code(field, m, a, a_prime, g, h, dim, gen)
+    rref.setflags(write=False)
+    return Qc15Code(field, m, a, a_prime, g, h, dim, gen, rref)
 
 
 # -- message enumeration helpers --------------------------------------------------
@@ -379,25 +395,34 @@ def low_weight_message_count(p: int, k: int, max_weight: int) -> int:
     return sum(comb(k, w) * (p - 1) ** (w - 1) for w in range(1, w_cap + 1))
 
 
+def _light_supports(mult: Sequence[int], budget: int, start: int = 0) -> Iterator[tuple]:
+    """Index sets S in [start, len(mult)), ascending, with sum of mult over S <= budget."""
+    for i in range(start, len(mult)):
+        if mult[i] <= budget:
+            yield (i,)
+            for rest in _light_supports(mult, budget - mult[i], i + 1):
+                yield (i,) + rest
+
+
 @lru_cache(maxsize=64)
-def low_weight_messages(p: int, k: int, max_weight: int) -> np.ndarray:
-    """All messages of weight 1..max_weight in F^k, scalar-normalized.
+def low_weight_messages(p: int, mult: tuple[int, ...], max_weight: int) -> np.ndarray:
+    """All nonzero messages y in F^k, k = len(mult), whose weighted weight
+    (the sum of mult[r] over y_r != 0) is at most max_weight, scalar-normalized.
 
     Scaling a message scales the codeword without changing its weight, so the
     first nonzero entry is pinned to 1 and nothing is lost.
     """
-    from itertools import combinations, product
+    from itertools import product
 
-    w_cap = min(max_weight, k)
+    k = len(mult)
     rows = []
-    for w in range(1, w_cap + 1):
-        for support in combinations(range(k), w):
-            for vals in product(range(1, p), repeat=w - 1):
-                row = [0] * k
-                row[support[0]] = 1
-                for pos, v in zip(support[1:], vals):
-                    row[pos] = v
-                rows.append(row)
+    for support in _light_supports(mult, max_weight):
+        for vals in product(range(1, p), repeat=len(support) - 1):
+            row = [0] * k
+            row[support[0]] = 1
+            for pos, v in zip(support[1:], vals):
+                row[pos] = v
+            rows.append(row)
     out = np.array(rows, dtype=np.int64) if rows else np.zeros((0, k), dtype=np.int64)
     out.setflags(write=False)
     return out

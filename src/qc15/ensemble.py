@@ -275,14 +275,16 @@ class EnsembleReport:
         ]
 
     def with_warning(self, text: str) -> "EnsembleReport":
-        return replace(self, warning=text)
+        """A copy with text added to the warning column, after any warning already there."""
+        return replace(self, warning="; ".join(filter(None, (self.warning, text))))
 
 
-def _maybe_bound(m: int, delta: DeltaLike, q: int) -> float | None:
+def _maybe_bound(m: int, delta: DeltaLike, q: int) -> tuple[float | None, str]:
+    """The analytic bound, or None and the reason it is undefined, as a warning."""
     try:
-        return delta_prob_bound(m, float(as_fraction(delta)), q)
-    except DomainError:
-        return None
+        return delta_prob_bound(m, float(as_fraction(delta)), q), ""
+    except DomainError as exc:
+        return None, f"no bound: {exc}"
 
 
 # -- exact and Monte-Carlo experiments -----------------------------------------------------
@@ -311,6 +313,7 @@ def exact_delta_leq_prob(
             if code.has_word_of_weight_at_most(t, limit):
                 hits += 1
     frac = Fraction(hits, pairs)
+    bound, warning = _maybe_bound(m, delta, p)
     return EnsembleReport(
         q=p,
         m=m,
@@ -320,9 +323,10 @@ def exact_delta_leq_prob(
         hits=hits,
         estimate=float(frac),
         exact=frac,
-        bound=_maybe_bound(m, delta, p),
+        bound=bound,
         zero_code_fraction=zero_codes / pairs,
         seed=None,
+        warning=warning,
     )
 
 
@@ -367,6 +371,7 @@ def mc_delta_prob(
     exact = None
     if p ** (2 * (m - 1)) <= attach_exact_pairs:
         exact = 1 - exact_delta_leq_prob(field, m, delta, limit).exact
+    bound, warning = _maybe_bound(m, delta, p)
     return EnsembleReport(
         q=p,
         m=m,
@@ -376,9 +381,10 @@ def mc_delta_prob(
         hits=hits,
         estimate=hits / trials,
         exact=exact,
-        bound=_maybe_bound(m, delta, p),
+        bound=bound,
         zero_code_fraction=zero_codes / trials,
         seed=seed,
+        warning=warning,
     )
 
 

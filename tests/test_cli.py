@@ -67,6 +67,14 @@ class TestConstruct:
         rc, _, err = run_cli(capsys, "construct", "--q", "3", "--m", "3", "--a", "1", "--a-prime", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ("construct", "distance"))
+    @pytest.mark.parametrize("m", ("0", "-1"))
+    def test_m_below_one_exits_2(self, capsys, command, m):
+        rc, out, err = run_cli(capsys, command, "--q", "3", "--m", m, "--a", "1", "--a-prime", "1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_enum_limit_exits_3(self, capsys):
         rc, _, err = run_cli(
             capsys, "construct", "--q", "3", "--m", "2", "--a", "2,1", "--a-prime", "2,1",
@@ -127,12 +135,47 @@ class TestSweep:
         rc, _, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2")
         assert rc == 2
 
+    @pytest.mark.parametrize("extra", (("--delta", "0.1"), ("--fullrank",)))
+    @pytest.mark.parametrize("m", ("0", "2,-1"))
+    def test_m_below_one_exits_2(self, capsys, m, extra):
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", m, *extra)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ("-1", "0.1,-0.5"))
+    def test_negative_delta_exits_2(self, capsys, delta):
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", delta)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_undefined_bound_gives_reason(self, capsys):
+        # 3 * 0.7 / 2 > 1 puts delta outside the bound formula
+        rc, out, _ = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.7", "--exact")
+        assert rc == 0
+        row = parse_csv(out)[0]
+        assert row["bound"] == ""
+        assert row["warning"].startswith("no bound: 3*delta/2 must be <= 1")
+
+    def test_undefined_bound_joins_fallback_warning(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "sweep", "--q", "3", "--m", "5", "--delta", "0.7", "--exact",
+            "--max-enum", "1000", "--trials", "20", "--seed", "3",
+        )
+        assert rc == 0
+        row = parse_csv(out)[0]
+        assert row["bound"] == ""
+        assert row["warning"].startswith("no bound: 3*delta/2 must be <= 1")
+        assert row["warning"].endswith("; exact sweep infeasible; fell back to montecarlo")
+
     def test_numeric_fields_parse_losslessly(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "--q", "3", "--m", "4", "--delta", "0.1", "--exact")
         row = parse_csv(out)[0]
         for key in ("estimate", "exact", "bound", "zero_code_fraction"):
             val = float(row[key])
             assert repr(val) == row[key]
+        assert row["warning"] == ""
 
 
 class TestBounds:
@@ -159,6 +202,13 @@ class TestBounds:
         doc = json.loads(out)
         vals = [r["goodness_indicator"] for r in doc["scan"]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("scan", ("5", "2..x", "..9"))
+    def test_scan_without_range_exits_2(self, capsys, scan):
+        rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--scan-m", scan)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "LO..HI" in err and err.count("\n") == 1
 
     def test_missing_m_exits_2(self, capsys):
         rc, _, _ = run_cli(capsys, "bounds", "--q", "3")

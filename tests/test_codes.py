@@ -19,8 +19,10 @@ from qc15.codes import (
     construct_code,
     generator_poly,
     gf_rank,
+    gf_rref,
     span_matrix,
 )
+from qc15.ensemble import restricted_elements
 from qc15.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -329,20 +331,60 @@ class TestEnumerateAndDistance:
             assert code.min_distance().distance == oracle
 
 
+def scan_oracle_codes():
+    """Codes whose threshold scan is checked against min_distance.
+
+    They cover pivot multiplicities 1 (unrestricted pairs), 2 (u-part pivots
+    of restricted pairs, including u-parts of lower rank) and columns that
+    are non-unit multiples of a pivot column (p = 1009).
+    """
+    rnd = random.Random(81)
+    for m in (2, 4):
+        for _ in range(20):
+            yield construct_code(*random_pair(rnd, F3, m))
+    for a, ap in restricted_pairs(4):
+        yield construct_code(a, ap)
+    for p, ms in ((5, (2, 3)), (7, (2, 3))):
+        field = PrimeField(p)
+        for _ in range(20):
+            yield construct_code(*random_pair(rnd, field, rnd.choice(ms)))
+    f1009 = PrimeField(1009)
+    for m in (1, 2):
+        for _ in range(3):
+            a, ap = random_pair(rnd, f1009, m)
+            if m == 2:  # a multiple of X^2 + 1: dim <= 2, codewords (u, u, v)
+                a = a * RingElement.from_poly(Poly.x_pow_plus_one(f1009, 2), 4)
+            yield construct_code(a, ap)
+
+
+def restricted_pairs(m: int):
+    a_list, ap_list = restricted_elements(F3, m)
+    return [(a, ap) for a in a_list for ap in ap_list]
+
+
 class TestLowWeightSearch:
     def test_agrees_with_full_distance(self):
-        rnd = random.Random(81)
-        for m in (2, 4):
-            for _ in range(20):
-                a, ap = random_pair(rnd, F3, m)
-                code = construct_code(a, ap)
-                if code.dim == 0:
-                    for w in range(0, 3 * m + 1):
-                        assert not code.has_word_of_weight_at_most(w)
-                    continue
-                d = code.min_distance().distance
-                for w in range(0, 3 * m + 1):
-                    assert code.has_word_of_weight_at_most(w) == (d <= w)
+        for code in scan_oracle_codes():
+            ws = range(0, code.length + 1)
+            if code.dim == 0:
+                assert not any(code.has_word_of_weight_at_most(w) for w in ws)
+                continue
+            d = code.min_distance().distance
+            assert [code.has_word_of_weight_at_most(w) for w in ws] == [d <= w for w in ws]
+
+    @pytest.mark.parametrize("m", (4, 5))
+    def test_stored_rref_matches_gf_rref(self, m):
+        for a, ap in restricted_pairs(m):
+            code = construct_code(a, ap)
+            assert np.array_equal(code.rref, gf_rref(code.gen_matrix, 3)[0])
+
+    def test_limit_counts_plain_weight_candidates(self):
+        # the weighted scan tries fewer messages, but the limit still counts
+        # the C(3,1) + 2 C(3,2) = 9 messages of plain weight <= 2
+        code = example2()
+        assert code.has_word_of_weight_at_most(2, limit=9)
+        with pytest.raises(EnumerationTooLarge):
+            code.has_word_of_weight_at_most(2, limit=8)
 
     def test_zero_threshold(self):
         assert not example1().has_word_of_weight_at_most(0)

@@ -8,7 +8,6 @@ entropy bounds.
 
 from .algebra import (
     CosetPartition,
-    FieldElement,
     Poly,
     PrimeField,
     RingElement,
@@ -29,7 +28,6 @@ from .bounds import (
 )
 from .codes import (
     DEFAULT_ENUM_LIMIT,
-    CirculantBlock,
     DistanceResult,
     Qc15Code,
     Word,

@@ -66,86 +66,15 @@ class PrimeField:
 
     # -- scalar arithmetic on residues in [0, p) ------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
     def inv(self, x: int) -> int:
         if x % self.p == 0:
             raise DivisionByZero(f"0 has no inverse in GF({self.p})")
         return pow(x, -1, self.p)
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.p, self)
-
     @property
     def half(self) -> int:
         """The residue 1/2, which exists because p is odd."""
         return self.inv(2)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, p) tagged with its field.
-
-    Arithmetic between elements of different fields raises FieldMismatch.
-    Containers (Poly, RingElement) store bare ints for speed; this wrapper is
-    the scalar-level API.
-    """
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{other.field} vs {self.field}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inv()
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
 
 
 def _strip(coeffs: list[int]) -> tuple[int, ...]:

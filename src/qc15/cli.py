@@ -51,6 +51,18 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+def _parse_delta(text: str) -> Fraction:
+    """One threshold: an exact nonnegative number whose float value is finite."""
+    try:
+        delta = ensemble.as_fraction(text)
+        float(delta)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValidationError(f"delta must be a finite number, got {text!r}")
+    if delta < 0:
+        raise ValidationError(f"delta must be nonnegative, got {text}")
+    return delta
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
@@ -85,27 +97,11 @@ def _cmd_construct(args: argparse.Namespace, with_distance: bool) -> int:
 # -- sweep ----------------------------------------------------------------------------
 
 
-def _fullrank_exact_report(field: PrimeField, m: int) -> EnsembleReport:
-    exact = ensemble.exact_fullrank_prob(m, field.p)
-    pairs = field.p ** (2 * (m - 1))
-    return EnsembleReport(
-        q=field.p,
-        m=m,
-        delta=None,
-        mode="exact",
-        trials=pairs,
-        hits=int(exact * pairs),
-        estimate=float(exact),
-        exact=exact,
-        bound=None,
-        zero_code_fraction=1.0 / pairs,
-        seed=None,
-    )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     field = _field(args.q)
     ms = [_check_m(m) for m in _parse_int_list(args.m)]
+    if not ms:
+        raise ValidationError(f"--m needs at least one co-index, got {args.m!r}")
     seed = args.seed if args.seed is not None else _default_seed()
     deltas: list[Fraction | None]
     if args.fullrank:
@@ -113,16 +109,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if not args.delta:
             raise ValidationError("sweep needs --delta unless --fullrank is given")
-        deltas = [ensemble.as_fraction(d) for d in args.delta.split(",")]
-        if any(d < 0 for d in deltas):
-            raise ValidationError(f"delta must be nonnegative, got {args.delta}")
+        deltas = [_parse_delta(d) for d in args.delta.split(",")]
 
     reports: list[EnsembleReport] = []
     for m in ms:
         for delta in deltas:
             if args.fullrank:
                 if args.exact:
-                    reports.append(_fullrank_exact_report(field, m))
+                    reports.append(ensemble.exact_fullrank_report(field, m))
                 else:
                     reports.append(ensemble.mc_fullrank_prob(field, m, args.trials, seed))
                 continue
@@ -180,7 +174,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         }
     )
     if args.delta is not None:
-        delta = float(ensemble.as_fraction(args.delta))
+        delta = float(_parse_delta(args.delta))
         doc["delta"] = delta
         doc["delta_prob_bound"] = bounds_mod.delta_prob_bound(m, delta, q)
     if args.ideals:

@@ -54,13 +54,6 @@ class Word:
             raise RingMismatch(f"parts of co-length {left.n} and {right.n} do not pair up")
         return cls(right.n, left.coeffs + right.coeffs)
 
-    def parts(self, field: PrimeField) -> tuple[RingElement, RingElement]:
-        m = self.m
-        return (
-            RingElement(field, 2 * m, self.coords[: 2 * m]),
-            RingElement(field, m, self.coords[2 * m :]),
-        )
-
     def weight(self) -> int:
         return sum(1 for c in self.coords if c)
 
@@ -155,23 +148,13 @@ def circulant_matrix(v: RingElement) -> np.ndarray:
     return np.stack([np.roll(row, i) for i in range(v.n)])
 
 
-@dataclass(frozen=True)
-class CirculantBlock:
-    """The 2m x 3m span matrix [A | A' stacked twice] built from (a, a')."""
-
-    A: np.ndarray
-    A_prime: np.ndarray
-    full: np.ndarray
-
-
-def span_matrix(a: RingElement, a_prime: RingElement) -> CirculantBlock:
-    """Rows of .full are the encodings of X^0, ..., X^{2m-1}; they span the code."""
+def span_matrix(a: RingElement, a_prime: RingElement) -> np.ndarray:
+    """The 2m x 3m matrix [A | A' stacked twice] built from (a, a'): its rows are
+    the encodings of X^0, ..., X^{2m-1}, and they span the code."""
     if a.n != 2 * a_prime.n or a.field != a_prime.field:
         raise RingMismatch(f"need a in R_2m and a' in R_m, got R_{a.n} and R_{a_prime.n}")
-    A = circulant_matrix(a)
     Ap = circulant_matrix(a_prime)
-    full = np.hstack([A, np.vstack([Ap, Ap])])
-    return CirculantBlock(A, Ap, full)
+    return np.hstack([circulant_matrix(a), np.vstack([Ap, Ap])])
 
 
 # -- generator and check polynomials -------------------------------------------------
@@ -361,13 +344,13 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     g = generator_poly(a, a_prime)
     h = check_poly(g, m)
     dim = int(h.degree) if not h.is_zero() else 0
-    blocks = span_matrix(a, a_prime)
-    rows, rref = leading_independent_rows(blocks.full, field.p)
+    full = span_matrix(a, a_prime)
+    rows, rref = leading_independent_rows(full, field.p)
     if len(rows) != dim:
         raise AssertionError(
             f"rank of the span matrix ({len(rows)}) disagrees with deg h ({dim})"
         )
-    gen = blocks.full[rows] if rows else np.zeros((0, 3 * m), dtype=np.int64)
+    gen = full[rows] if rows else np.zeros((0, 3 * m), dtype=np.int64)
     gen.setflags(write=False)
     rref.setflags(write=False)
     return Qc15Code(field, m, a, a_prime, g, h, dim, gen, rref)

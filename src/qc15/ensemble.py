@@ -13,6 +13,13 @@ has no nonzero codeword, so it never satisfies the event and therefore counts
 toward the complement; its frequency is reported separately in every report
 because the relative distance of the zero code is not a defined quantity.
 
+Experiments
+-----------
+Every experiment runs one per-pair event (the distance event, or dim = m - 1)
+over one pair source: every restricted pair, or seeded samples. One tally
+counts pairs, hits and zero codes, and one builder turns the counts into an
+EnsembleReport.
+
 Reproducibility
 ---------------
 Monte-Carlo trial t draws its own generator from (seed, t), so serial and
@@ -24,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -71,28 +79,11 @@ def restricted_generators(field: PrimeField, m: int) -> tuple[RingElement, RingE
     )
 
 
-@dataclass(frozen=True)
-class RestrictedPair:
+class RestrictedPair(NamedTuple):
     """A sample (a, a'): a is a multiple of (X^m+1)(X-1), a' a multiple of X-1."""
 
     a: RingElement
     a_prime: RingElement
-
-    def __post_init__(self):
-        m = self.a_prime.n
-        if self.a.n != 2 * m:
-            raise ValueError(f"a lives in R_{self.a.n}, expected R_{2 * m}")
-        lift = self.a.lift()
-        if not Poly.x_pow_plus_one(self.a.field, m).divides(lift):
-            raise ValueError("a is not a multiple of X^m + 1")
-        if lift.evaluate(1) != 0:
-            raise ValueError("a is not a multiple of X - 1")
-        if self.a_prime.lift().evaluate(1) != 0:
-            raise ValueError("a' is not a multiple of X - 1")
-
-    @property
-    def m(self) -> int:
-        return self.a_prime.n
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -279,104 +270,85 @@ class EnsembleReport:
         return replace(self, warning="; ".join(filter(None, (self.warning, text))))
 
 
-def _maybe_bound(m: int, delta: DeltaLike, q: int) -> tuple[float | None, str]:
-    """The analytic bound, or None and the reason it is undefined, as a warning."""
-    try:
-        return delta_prob_bound(m, float(as_fraction(delta)), q), ""
-    except DomainError as exc:
-        return None, f"no bound: {exc}"
-
-
 # -- exact and Monte-Carlo experiments -----------------------------------------------------
 
+# A Monte-Carlo distance row carries the exact value when the pair space has at
+# most this many pairs, cheap enough to sweep alongside the trials.
+ATTACH_EXACT_PAIRS = 1000
 
-def exact_delta_leq_prob(
-    field: PrimeField, m: int, delta: DeltaLike, limit: int = DEFAULT_ENUM_LIMIT
-) -> EnsembleReport:
-    """Exact Pr(relative distance <= delta) by sweeping every restricted pair."""
-    if gcd(m, field.p) != 1:
-        raise NotCoprime(f"m={m} must be coprime to p={field.p}")
-    p = field.p
-    pairs = p ** (2 * (m - 1))
-    if pairs > limit:
-        raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
-    t = weight_threshold(m, delta)
-    hits = 0
-    zero_codes = 0
-    a_list, ap_list = restricted_elements(field, m, limit)
-    for a in a_list:
-        for ap in ap_list:
-            code = construct_code(a, ap)
-            if code.dim == 0:
-                zero_codes += 1
-                continue
-            if code.has_word_of_weight_at_most(t, limit):
-                hits += 1
-    frac = Fraction(hits, pairs)
-    bound, warning = _maybe_bound(m, delta, p)
-    return EnsembleReport(
-        q=p,
-        m=m,
-        delta=as_fraction(delta),
-        mode="exact",
-        trials=pairs,
-        hits=hits,
-        estimate=float(frac),
-        exact=frac,
-        bound=bound,
-        zero_code_fraction=zero_codes / pairs,
-        seed=None,
-        warning=warning,
-    )
+Pairs = Iterator[tuple[RingElement, RingElement]]
+Event = Callable[[RingElement, RingElement], bool]
 
 
-def mc_delta_prob(
+def _pair_source(
     field: PrimeField,
     m: int,
-    delta: DeltaLike,
-    trials: int,
-    seed: int,
     limit: int = DEFAULT_ENUM_LIMIT,
-    attach_exact_pairs: int = 1000,
-) -> EnsembleReport:
-    """Monte-Carlo estimate of Pr(relative distance > delta).
+    trials: int | None = None,
+    seed: int = 0,
+) -> Pairs:
+    """The pairs (a, a') an experiment runs over, checked before the first one.
 
-    A trial is a hit when its code has no nonzero word of weight <=
-    floor(3 m delta); zero-code draws are hits under the module convention
-    and are tallied in zero_code_fraction. When the full pair space is small
-    enough the exact complement is attached for cross-checking.
+    With trials None: every restricted pair, row-major over
+    restricted_elements. Otherwise: sample_pair(field, m, trial_rng(seed, i))
+    for i < trials.
     """
-    if trials < 1:
+    if trials is not None and trials < 1:
         raise EmptyTrialSet("at least one trial is required")
     if gcd(m, field.p) != 1:
         raise NotCoprime(f"m={m} must be coprime to p={field.p}")
-    p = field.p
-    t = weight_threshold(m, delta)
-    candidates = low_weight_message_count(p, m - 1, min(t, m - 1)) if m > 1 else 0
-    if candidates > limit:
-        raise EnumerationTooLarge(
-            f"{candidates} low-weight candidates per trial exceed the limit {limit}"
-        )
-    hits = 0
-    zero_codes = 0
-    for i in range(trials):
-        pair = sample_pair(field, m, trial_rng(seed, i))
-        code = construct_code(pair.a, pair.a_prime)
-        if code.dim == 0:
-            zero_codes += 1
-            hits += 1  # no nonzero codeword at all, so none below the threshold
-            continue
-        if not code.has_word_of_weight_at_most(t, limit):
-            hits += 1
-    exact = None
-    if p ** (2 * (m - 1)) <= attach_exact_pairs:
-        exact = 1 - exact_delta_leq_prob(field, m, delta, limit).exact
-    bound, warning = _maybe_bound(m, delta, p)
+    if trials is not None:
+        return (sample_pair(field, m, trial_rng(seed, i)) for i in range(trials))
+    pairs = field.p ** (2 * (m - 1))
+    if pairs > limit:
+        raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
+    return product(*restricted_elements(field, m, limit))
+
+
+def _tally(pairs: Pairs, event: Event) -> tuple[int, int, int]:
+    """(pairs, pairs where event holds, zero codes). Only the pair (0, 0) spans
+    the zero code."""
+    n = hits = zero_codes = 0
+    for a, a_prime in pairs:
+        n += 1
+        hits += event(a, a_prime)
+        zero_codes += a.is_zero() and a_prime.is_zero()
+    return n, hits, zero_codes
+
+
+def _distance_event(t: int, limit: int) -> Event:
+    """Some nonzero word has weight <= t; never true of the zero code."""
+    return lambda a, a_prime: construct_code(a, a_prime).has_word_of_weight_at_most(t, limit)
+
+
+def _fullrank_event(m: int) -> Event:
+    return lambda a, a_prime: 2 * m - int(generator_poly(a, a_prime).degree) == m - 1
+
+
+def _report(
+    field: PrimeField,
+    m: int,
+    delta: DeltaLike | None,
+    trials: int,
+    hits: int,
+    zero_codes: int,
+    exact: Fraction | None,
+    seed: int | None,
+) -> EnsembleReport:
+    """The row of one experiment; a seed of None marks an exact row. A delta
+    row gets the analytic bound, or an empty bound and the reason in warning."""
+    bound, warning = None, ""
+    if delta is not None:
+        delta = as_fraction(delta)
+        try:
+            bound = delta_prob_bound(m, float(delta), field.p)
+        except DomainError as exc:
+            warning = f"no bound: {exc}"
     return EnsembleReport(
-        q=p,
+        q=field.p,
         m=m,
-        delta=as_fraction(delta),
-        mode="montecarlo",
+        delta=delta,
+        mode="exact" if seed is None else "montecarlo",
         trials=trials,
         hits=hits,
         estimate=hits / trials,
@@ -388,6 +360,46 @@ def mc_delta_prob(
     )
 
 
+def exact_delta_leq_prob(
+    field: PrimeField, m: int, delta: DeltaLike, limit: int = DEFAULT_ENUM_LIMIT
+) -> EnsembleReport:
+    """Exact Pr(relative distance <= delta) by sweeping every restricted pair."""
+    pairs = _pair_source(field, m, limit)
+    event = _distance_event(weight_threshold(m, delta), limit)
+    n, hits, zero_codes = _tally(pairs, event)
+    return _report(field, m, delta, n, hits, zero_codes, Fraction(hits, n), None)
+
+
+def mc_delta_prob(
+    field: PrimeField,
+    m: int,
+    delta: DeltaLike,
+    trials: int,
+    seed: int,
+    limit: int = DEFAULT_ENUM_LIMIT,
+) -> EnsembleReport:
+    """Monte-Carlo estimate of Pr(relative distance > delta).
+
+    A trial is a hit when its code has no nonzero word of weight <=
+    floor(3 m delta); zero-code draws are hits under the module convention
+    and are tallied in zero_code_fraction. When the full pair space has at
+    most ATTACH_EXACT_PAIRS pairs the exact complement is attached for
+    cross-checking.
+    """
+    pairs = _pair_source(field, m, trials=trials, seed=seed)
+    t = weight_threshold(m, delta)
+    candidates = low_weight_message_count(field.p, m - 1, min(t, m - 1)) if m > 1 else 0
+    if candidates > limit:
+        raise EnumerationTooLarge(
+            f"{candidates} low-weight candidates per trial exceed the limit {limit}"
+        )
+    n, leq, zero_codes = _tally(pairs, _distance_event(t, limit))
+    exact = None
+    if field.p ** (2 * (m - 1)) <= ATTACH_EXACT_PAIRS:
+        exact = 1 - exact_delta_leq_prob(field, m, delta, limit).exact
+    return _report(field, m, delta, n, n - leq, zero_codes, exact, seed)
+
+
 def exact_fullrank_prob(m: int, q: int) -> Fraction:
     """Exact Pr(dim = m - 1): the product of (1 - q^(-2 d_j)) over the nonzero
     cyclotomic coset sizes d_j. The empty product (m = 1) is 1."""
@@ -395,6 +407,14 @@ def exact_fullrank_prob(m: int, q: int) -> Fraction:
     for d in cyclotomic_cosets(m, q).nonzero_sizes():
         acc *= 1 - Fraction(1, q ** (2 * d))
     return acc
+
+
+def exact_fullrank_report(field: PrimeField, m: int) -> EnsembleReport:
+    """exact_fullrank_prob as a report over all p^(2(m-1)) restricted pairs,
+    of which only (0, 0) spans the zero code; no pair is enumerated."""
+    exact = exact_fullrank_prob(m, field.p)
+    pairs = field.p ** (2 * (m - 1))
+    return _report(field, m, None, pairs, int(exact * pairs), 1, exact, None)
 
 
 def fullrank_census(
@@ -405,50 +425,17 @@ def fullrank_census(
     Independent of exact_fullrank_prob: this walks all pairs and counts
     degrees, no coset combinatorics involved.
     """
-    p = field.p
-    pairs = p ** (2 * (m - 1))
-    if pairs > limit:
-        raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
-    a_list, ap_list = restricted_elements(field, m, limit)
-    hits = 0
-    for a in a_list:
-        for ap in ap_list:
-            g = generator_poly(a, ap)
-            if 2 * m - int(g.degree) == m - 1:
-                hits += 1
-    return Fraction(hits, pairs)
+    n, hits, _ = _tally(_pair_source(field, m, limit), _fullrank_event(m))
+    return Fraction(hits, n)
 
 
 def mc_fullrank_prob(
     field: PrimeField, m: int, trials: int, seed: int
 ) -> EnsembleReport:
     """Monte-Carlo estimate of Pr(dim = m - 1); needs only gcd degrees per trial."""
-    if trials < 1:
-        raise EmptyTrialSet("at least one trial is required")
-    p = field.p
-    hits = 0
-    zero_codes = 0
-    for i in range(trials):
-        pair = sample_pair(field, m, trial_rng(seed, i))
-        g = generator_poly(pair.a, pair.a_prime)
-        dim = 2 * m - int(g.degree)
-        if dim == m - 1:
-            hits += 1
-        if dim == 0:
-            zero_codes += 1
-    return EnsembleReport(
-        q=p,
-        m=m,
-        delta=None,
-        mode="montecarlo",
-        trials=trials,
-        hits=hits,
-        estimate=hits / trials,
-        exact=exact_fullrank_prob(m, p),
-        bound=None,
-        zero_code_fraction=zero_codes / trials,
-        seed=seed,
-    )
+    pairs = _pair_source(field, m, trials=trials, seed=seed)
+    n, hits, zero_codes = _tally(pairs, _fullrank_event(m))
+    return _report(field, m, None, n, hits, zero_codes, exact_fullrank_prob(m, field.p), seed)
 
 
 # -- ideal counting and sphere counts -----------------------------------------------------

@@ -54,7 +54,7 @@ def criterion(number: int, label: str, budget_seconds: float):
 def rowspace_words(a: RingElement, a_prime: RingElement) -> set[tuple[int, ...]]:
     """Independent oracle: every y * span_matrix over all y in F^{2m}."""
     p = a.field.p
-    full = span_matrix(a, a_prime).full
+    full = span_matrix(a, a_prime)
     rows = full.shape[0]
     out = set()
     for idx in range(p**rows):

@@ -19,6 +19,52 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+HEADER = "q,m,delta,mode,trials,hits,estimate,exact,bound,zero_code_fraction,seed,warning\n"
+
+# Exact stdout of small sweeps, one per branch of the sweep command: exact
+# distance rows, Monte-Carlo rows with and without the attached exact value,
+# the exact-to-Monte-Carlo fallback, the undefined bound, and both full-rank
+# modes. Any change to the CSV bytes fails here.
+GOLDEN_SWEEPS = {
+    "exact-delta": (
+        "--m 2,4 --delta 0.34 --exact",
+        "3,2,0.34,exact,9,2,0.2222222222222222,0.2222222222222222,10.81124213409734,"
+        "0.1111111111111111,,\n"
+        "3,4,0.34,exact,729,274,0.37585733882030176,0.37585733882030176,82786.9686803744,"
+        "0.0013717421124828531,,\n",
+    ),
+    "mc-delta-with-and-without-exact": (
+        "--m 4,5 --delta 0.34 --trials 40 --seed 7",
+        "3,4,0.34,montecarlo,40,24,0.6,0.6241426611796982,82786.9686803744,0.0,7,\n"
+        "3,5,0.34,montecarlo,40,39,0.975,,1334.1431167961102,0.0,7,\n",
+    ),
+    "fallback-and-undefined-bound": (
+        "--m 2,5 --delta 0.1,0.7 --exact --max-enum 1000 --trials 20 --seed 3",
+        "3,2,0.1,exact,9,0,0.0,0.0,3.8230342065123217,0.1111111111111111,,\n"
+        "3,2,0.7,exact,9,4,0.4444444444444444,0.4444444444444444,,0.1111111111111111,,"
+        '"no bound: 3*delta/2 must be <= 1, got 1.0499999999999998"\n'
+        "3,5,0.1,montecarlo,20,20,1.0,,20.86088739791361,0.0,3,"
+        "exact sweep infeasible; fell back to montecarlo\n"
+        "3,5,0.7,montecarlo,20,0,0.0,,,0.0,3,"
+        '"no bound: 3*delta/2 must be <= 1, got 1.0499999999999998; '
+        'exact sweep infeasible; fell back to montecarlo"\n',
+    ),
+    "mc-fullrank": (
+        "--m 2,4,5 --fullrank --trials 100 --seed 11",
+        "3,2,,montecarlo,100,88,0.88,0.8888888888888888,,0.12,11,\n"
+        "3,4,,montecarlo,100,90,0.9,0.877914951989026,,0.0,11,\n"
+        "3,5,,montecarlo,100,100,1.0,0.9998475842097241,,0.0,11,\n",
+    ),
+    "exact-fullrank": (
+        "--m 2,4,7 --fullrank --exact",
+        "3,2,,exact,9,8,0.8888888888888888,0.8888888888888888,,0.1111111111111111,,\n"
+        "3,4,,exact,729,640,0.877914951989026,0.877914951989026,,0.0013717421124828531,,\n"
+        "3,7,,exact,531441,531440,0.9999981183235769,0.9999981183235769,,"
+        "1.8816764231589208e-06,,\n",
+    ),
+}
+
+
 class TestConstruct:
     def test_example1_with_codewords(self, capsys):
         rc, out, _ = run_cli(
@@ -84,6 +130,14 @@ class TestConstruct:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS))
+    def test_golden_stdout(self, capsys, case):
+        options, rows = GOLDEN_SWEEPS[case]
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", *options.split())
+        assert rc == 0
+        assert err == ""
+        assert out == HEADER + rows
+
     def test_exact_mode_estimate_equals_exact(self, capsys):
         rc, out, _ = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.1", "--exact")
         assert rc == 0
@@ -143,7 +197,14 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("delta", ("-1", "0.1,-0.5"))
+    @pytest.mark.parametrize("m", (",", ""))
+    def test_empty_m_list_exits_2(self, capsys, m):
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", m, "--delta", "0.1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ("-1", "0.1,-0.5", "1/0", "0.1,1e400"))
     def test_negative_delta_exits_2(self, capsys, delta):
         rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", delta)
         assert rc == 2
@@ -209,6 +270,13 @@ class TestBounds:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and "LO..HI" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ("-1", "1/0", "1e400"))
+    def test_bad_delta_exits_2(self, capsys, delta):
+        rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--m", "5", "--delta", delta)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_m_exits_2(self, capsys):
         rc, _, _ = run_cli(capsys, "bounds", "--q", "3")

@@ -8,7 +8,6 @@ import pytest
 from qc15.algebra import Poly, PrimeField, RingElement, cyclotomic_cosets, min_factor_degree
 from qc15.bounds import ideal_expectation_bound
 from qc15.ensemble import (
-    RestrictedPair,
     count_ideals_by_dim,
     exact_delta_leq_prob,
     exact_fullrank_prob,
@@ -82,12 +81,6 @@ class TestSampler:
         assert a == b
         assert a != c or True  # different trials may rarely collide; equality of streams matters
         assert trial_rng(99, 4).integers(0, 1 << 30) != trial_rng(99, 5).integers(0, 1 << 30)
-
-    def test_restricted_pair_validation(self):
-        with pytest.raises(ValueError):
-            RestrictedPair(RingElement.one(F3, 4), RingElement.zero(F3, 2))
-        with pytest.raises(ValueError):
-            RestrictedPair(RingElement.zero(F3, 4), RingElement.one(F3, 2))
 
 
 class TestRestrictedIdeals:
@@ -250,6 +243,26 @@ class TestMcDeltaProb:
         assert abs(rep.estimate - p) <= 3 * se
         assert rep.mode == "montecarlo"
         assert rep.hits + round(rep.trials * (1 - rep.estimate)) == rep.trials
+
+    @pytest.mark.parametrize(
+        "m, delta, trials, leq",
+        (
+            (4, Fraction(1, 3), 2000, Fraction(274, 729)),
+            (4, Fraction(1, 2), 2000, Fraction(562, 729)),
+            (5, Fraction(2, 5), 1000, Fraction(2560, 6561)),
+        ),
+    )
+    def test_agrees_with_exact_where_not_saturated(self, m, delta, trials, leq):
+        # Pr(d <= delta) lies well inside (0, 1) here, so an estimate of the
+        # wrong side of the event misses by more than 10 standard errors
+        if m == 5:
+            assert exact_delta_leq_prob(F3, m, delta).exact == leq
+        rep = mc_delta_prob(F3, m, delta, trials=trials, seed=2024)
+        p = 1 - leq
+        if m == 4:
+            assert rep.exact == p
+        se = math.sqrt(p * (1 - p) / trials)
+        assert abs(rep.estimate - p) <= 4 * se
 
     def test_impossible_event_estimates_one(self):
         rep = mc_delta_prob(F3, 2, 0.1, trials=300, seed=9)

@@ -48,7 +48,11 @@ def _check_m(m: int) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    """Comma-separated integers; a blank entry is an error, not skipped."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"--m needs comma-separated integers, got {text!r}")
 
 
 def _parse_delta(text: str) -> Fraction:
@@ -66,9 +70,12 @@ def _parse_delta(text: str) -> Fraction:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ValidationError(f"--scan-m needs a range LO..HI, got {text!r}")
+    if hi < lo:
+        raise ValidationError(f"--scan-m needs a range LO..HI with LO <= HI, got {text!r}")
+    return lo, hi
 
 
 # -- construct / distance ------------------------------------------------------------
@@ -100,8 +107,6 @@ def _cmd_construct(args: argparse.Namespace, with_distance: bool) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     field = _field(args.q)
     ms = [_check_m(m) for m in _parse_int_list(args.m)]
-    if not ms:
-        raise ValidationError(f"--m needs at least one co-index, got {args.m!r}")
     seed = args.seed if args.seed is not None else _default_seed()
     deltas: list[Fraction | None]
     if args.fullrank:

@@ -16,9 +16,17 @@ because the relative distance of the zero code is not a defined quantity.
 Experiments
 -----------
 Every experiment runs one per-pair event (the distance event, or dim = m - 1)
-over one pair source: every restricted pair, or seeded samples. One tally
+over one pair source: one pair per orbit of the unit group of R_m, standing
+for its whole orbit, or seeded samples, each standing for itself. One tally
 counts pairs, hits and zero codes, and one builder turns the counts into an
 EnsembleReport.
+
+The orbits: (a, a') and (u~ a, u a') span the same code for every unit u of
+R_m, where u~ is any lift of u to R_{2m} (a is a multiple of X^m + 1, so
+u~ a depends on u alone). On a nonzero cyclotomic coset of size d the pair's
+component lies in GF(q^d)^2 and the units act on it by the scalars of
+GF(q^d)^*, which leaves q^d + 2 orbits: zero and the q^d + 1 lines. The
+restricted pair space therefore holds prod(q^d + 2) orbits, one per code.
 
 Reproducibility
 ---------------
@@ -31,8 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -41,8 +48,10 @@ from .algebra import Poly, PrimeField, RingElement, cyclotomic_cosets
 from .bounds import delta_prob_bound, qary_entropy
 from .codes import (
     DEFAULT_ENUM_LIMIT,
+    circulant_matrix,
     construct_code,
     generator_poly,
+    gf_matmul,
     low_weight_message_count,
 )
 from .errors import (
@@ -276,8 +285,68 @@ class EnsembleReport:
 # most this many pairs, cheap enough to sweep alongside the trials.
 ATTACH_EXACT_PAIRS = 1000
 
-Pairs = Iterator[tuple[RingElement, RingElement]]
+Pairs = Iterator[tuple[RestrictedPair, int]]
 Event = Callable[[RingElement, RingElement], bool]
+
+
+def _index_map(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The permutation perm with images[k] == rows[perm[k]], for images a
+    reordering of rows."""
+    perm = np.empty(len(rows), dtype=np.int64)
+    perm[np.lexsort(images.T)] = np.lexsort(rows.T)
+    return perm
+
+
+def _join(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Join the class of x with the class of perm[x], for every x.
+
+    labels[x] is the least index of the class of x. Each round hooks both
+    roots of every edge x -> perm[x] that still crosses two classes onto the
+    lesser one, then follows pointers until every label is a root again.
+    """
+    while not np.array_equal(labels, cross := labels[perm]):
+        low = np.minimum(labels, cross)
+        roots = labels.copy()
+        np.minimum.at(roots, labels, low)
+        np.minimum.at(roots, cross, low)
+        while not np.array_equal(roots, hop := roots[roots]):
+            roots = hop
+        labels = roots
+    return labels
+
+
+def _unit_orbits(
+    field: PrimeField, m: int, left: list[RingElement], right: list[RingElement]
+) -> np.ndarray:
+    """The orbits of the unit group of R_m on the pairs (left[i], right[j]),
+    indexed i * len(right) + j: entry x is the least index in the orbit of x.
+
+    The units of R_m, in increasing radix order of their coefficients, act
+    one by one as permutations of the pair indices, until the orbit count
+    reaches prod(q^d + 2) over the nonzero cyclotomic coset sizes d.
+    """
+    p = field.p
+    target = prod(p**d + 2 for d in cyclotomic_cosets(m, p).nonzero_sizes())
+    a_rows = np.array([a.coeffs for a in left], dtype=np.int64)
+    a_prime_rows = np.array([a.coeffs for a in right], dtype=np.int64)
+    labels = np.arange(len(left) * len(right))
+    count = labels.size
+    x_m_minus_one = Poly.x_pow_minus_one(field, m)
+    for k in range(2, p**m):  # k = 1 is the unit 1, which moves nothing
+        if count <= target:
+            break
+        u = tuple(k // p**j % p for j in range(m))
+        if Poly(field, u).gcd(x_m_minus_one).degree != 0:
+            continue
+        times_lift = circulant_matrix(RingElement(field, 2 * m, u + (0,) * m))
+        times_u = circulant_matrix(RingElement(field, m, u))
+        sigma = _index_map(a_rows, gf_matmul(a_rows, times_lift, p))
+        tau = _index_map(a_prime_rows, gf_matmul(a_prime_rows, times_u, p))
+        labels = _join(labels, (sigma[:, None] * len(right) + tau[None, :]).ravel())
+        count = int(np.count_nonzero(labels == np.arange(labels.size)))
+    if count != target:
+        raise AssertionError(f"{count} unit orbits, expected prod(q^d + 2) = {target}")
+    return labels
 
 
 def _pair_source(
@@ -287,32 +356,40 @@ def _pair_source(
     trials: int | None = None,
     seed: int = 0,
 ) -> Pairs:
-    """The pairs (a, a') an experiment runs over, checked before the first one.
+    """The pairs (a, a') an experiment runs over, each with the number of
+    restricted pairs it stands for; checked before the first one.
 
-    With trials None: every restricted pair, row-major over
-    restricted_elements. Otherwise: sample_pair(field, m, trial_rng(seed, i))
-    for i < trials.
+    With trials None: the least pair, row-major over restricted_elements, of
+    each unit orbit, standing for its orbit. Otherwise:
+    sample_pair(field, m, trial_rng(seed, i)) for i < trials, each standing
+    for itself.
     """
     if trials is not None and trials < 1:
         raise EmptyTrialSet("at least one trial is required")
     if gcd(m, field.p) != 1:
         raise NotCoprime(f"m={m} must be coprime to p={field.p}")
     if trials is not None:
-        return (sample_pair(field, m, trial_rng(seed, i)) for i in range(trials))
+        return ((sample_pair(field, m, trial_rng(seed, i)), 1) for i in range(trials))
     pairs = field.p ** (2 * (m - 1))
     if pairs > limit:
         raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
-    return product(*restricted_elements(field, m, limit))
+    left, right = restricted_elements(field, m, limit)
+    sizes = np.bincount(_unit_orbits(field, m, left, right)).tolist()
+    return (
+        (RestrictedPair(left[r // len(right)], right[r % len(right)]), size)
+        for r, size in enumerate(sizes)
+        if size
+    )
 
 
 def _tally(pairs: Pairs, event: Event) -> tuple[int, int, int]:
-    """(pairs, pairs where event holds, zero codes). Only the pair (0, 0) spans
-    the zero code."""
+    """(pairs, pairs where event holds, zero codes), each pair counted as many
+    times as it stands for. Only the pair (0, 0) spans the zero code."""
     n = hits = zero_codes = 0
-    for a, a_prime in pairs:
-        n += 1
-        hits += event(a, a_prime)
-        zero_codes += a.is_zero() and a_prime.is_zero()
+    for (a, a_prime), size in pairs:
+        n += size
+        hits += size * event(a, a_prime)
+        zero_codes += size * (a.is_zero() and a_prime.is_zero())
     return n, hits, zero_codes
 
 
@@ -363,7 +440,8 @@ def _report(
 def exact_delta_leq_prob(
     field: PrimeField, m: int, delta: DeltaLike, limit: int = DEFAULT_ENUM_LIMIT
 ) -> EnsembleReport:
-    """Exact Pr(relative distance <= delta) by sweeping every restricted pair."""
+    """Exact Pr(relative distance <= delta), one code per unit orbit of
+    restricted pairs."""
     pairs = _pair_source(field, m, limit)
     event = _distance_event(weight_threshold(m, delta), limit)
     n, hits, zero_codes = _tally(pairs, event)
@@ -383,8 +461,8 @@ def mc_delta_prob(
     A trial is a hit when its code has no nonzero word of weight <=
     floor(3 m delta); zero-code draws are hits under the module convention
     and are tallied in zero_code_fraction. When the full pair space has at
-    most ATTACH_EXACT_PAIRS pairs the exact complement is attached for
-    cross-checking.
+    most min(ATTACH_EXACT_PAIRS, limit) pairs the exact complement is
+    attached for cross-checking.
     """
     pairs = _pair_source(field, m, trials=trials, seed=seed)
     t = weight_threshold(m, delta)
@@ -395,7 +473,7 @@ def mc_delta_prob(
         )
     n, leq, zero_codes = _tally(pairs, _distance_event(t, limit))
     exact = None
-    if field.p ** (2 * (m - 1)) <= ATTACH_EXACT_PAIRS:
+    if field.p ** (2 * (m - 1)) <= min(ATTACH_EXACT_PAIRS, limit):
         exact = 1 - exact_delta_leq_prob(field, m, delta, limit).exact
     return _report(field, m, delta, n, n - leq, zero_codes, exact, seed)
 
@@ -422,8 +500,8 @@ def fullrank_census(
 ) -> Fraction:
     """Exhaustive fraction of restricted pairs whose code has dimension m - 1.
 
-    Independent of exact_fullrank_prob: this walks all pairs and counts
-    degrees, no coset combinatorics involved.
+    Independent of exact_fullrank_prob: this counts gcd degrees over the unit
+    orbits, whose sizes are counted, not derived from the coset sizes.
     """
     n, hits, _ = _tally(_pair_source(field, m, limit), _fullrank_event(m))
     return Fraction(hits, n)

@@ -23,8 +23,9 @@ HEADER = "q,m,delta,mode,trials,hits,estimate,exact,bound,zero_code_fraction,see
 
 # Exact stdout of small sweeps, one per branch of the sweep command: exact
 # distance rows, Monte-Carlo rows with and without the attached exact value,
-# the exact-to-Monte-Carlo fallback, the undefined bound, and both full-rank
-# modes. Any change to the CSV bytes fails here.
+# the exact-to-Monte-Carlo fallback (also below the pair count up to which an
+# exact value is attached), the undefined bound, and both full-rank modes.
+# Any change to the CSV bytes fails here.
 GOLDEN_SWEEPS = {
     "exact-delta": (
         "--m 2,4 --delta 0.34 --exact",
@@ -48,6 +49,11 @@ GOLDEN_SWEEPS = {
         "3,5,0.7,montecarlo,20,0,0.0,,,0.0,3,"
         '"no bound: 3*delta/2 must be <= 1, got 1.0499999999999998; '
         'exact sweep infeasible; fell back to montecarlo"\n',
+    ),
+    "fallback-under-attach-limit": (
+        "--m 2 --delta 0.1 --exact --max-enum 0 --trials 5 --seed 1",
+        "3,2,0.1,montecarlo,5,5,1.0,,3.8230342065123217,0.0,1,"
+        "exact sweep infeasible; fell back to montecarlo\n",
     ),
     "mc-fullrank": (
         "--m 2,4,5 --fullrank --trials 100 --seed 11",
@@ -197,7 +203,7 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("m", (",", ""))
+    @pytest.mark.parametrize("m", (",", "", "2,,4", "2,4,", " "))
     def test_empty_m_list_exits_2(self, capsys, m):
         rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", m, "--delta", "0.1")
         assert rc == 2
@@ -264,7 +270,7 @@ class TestBounds:
         vals = [r["goodness_indicator"] for r in doc["scan"]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("scan", ("5", "2..x", "..9"))
+    @pytest.mark.parametrize("scan", ("5", "2..x", "..9", "9..2"))
     def test_scan_without_range_exits_2(self, capsys, scan):
         rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--scan-m", scan)
         assert rc == 2

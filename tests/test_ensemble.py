@@ -2,12 +2,17 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
+import numpy as np
 import pytest
 
 from qc15.algebra import Poly, PrimeField, RingElement, cyclotomic_cosets, min_factor_degree
 from qc15.bounds import ideal_expectation_bound
+from qc15.codes import construct_code, generator_poly
 from qc15.ensemble import (
+    _unit_orbits,
     count_ideals_by_dim,
     exact_delta_leq_prob,
     exact_fullrank_prob,
@@ -35,6 +40,26 @@ J_2 = {(0, 0), (2, 1), (1, 2)}
 
 def j_plus_generator(m: int) -> RingElement:
     return restricted_generators(F3, m)[0]
+
+
+@lru_cache(maxsize=None)
+def pair_sweep(q: int, m: int) -> tuple[tuple[int, ...], int]:
+    """Brute force over every restricted pair, one code each: for t in 0..3m
+    the number of pairs whose code has a nonzero word of weight <= t (by
+    exhaustive minimum distance), and the number with dim = m - 1."""
+    field = PrimeField(q)
+    distances = []
+    fullrank = 0
+    for a, a_prime in product(*restricted_elements(field, m)):
+        code = construct_code(a, a_prime)
+        if code.dim:
+            distances.append(code.min_distance().distance)
+        fullrank += 2 * m - generator_poly(a, a_prime).degree == m - 1
+    return tuple(sum(d <= t for d in distances) for t in range(3 * m + 1)), fullrank
+
+
+# (q, m) small enough for the pair sweep
+ORACLE_SPACES = ((3, 2), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2))
 
 
 class TestWeightThreshold:
@@ -230,6 +255,40 @@ class TestExactDeltaProb:
             exact_delta_leq_prob(F3, 5, 0.1, limit=100)
 
 
+class TestUnitOrbits:
+    @pytest.mark.parametrize("q, m", ORACLE_SPACES)
+    def test_distance_hits_match_pair_sweep(self, q, m):
+        hits, _ = pair_sweep(q, m)
+        for t in range(1, 3 * m + 1):
+            rep = exact_delta_leq_prob(PrimeField(q), m, Fraction(t, 3 * m))
+            assert (rep.trials, rep.hits) == (q ** (2 * (m - 1)), hits[t])
+
+    @pytest.mark.parametrize("q, m", ORACLE_SPACES)
+    def test_fullrank_census_matches_pair_sweep(self, q, m):
+        _, fullrank = pair_sweep(q, m)
+        assert fullrank_census(PrimeField(q), m) == Fraction(fullrank, q ** (2 * (m - 1)))
+
+    @pytest.mark.parametrize(
+        "q, m, orbits",
+        ((3, 2, 5), (3, 4, 55), (3, 5, 83), (3, 7, 731), (5, 3, 27), (7, 3, 81)),
+    )
+    def test_orbit_count_is_product_over_cosets(self, q, m, orbits):
+        field = PrimeField(q)
+        labels = _unit_orbits(field, m, *restricted_elements(field, m))
+        assert labels.size == q ** (2 * (m - 1))
+        assert np.unique(labels).size == orbits
+
+    def test_each_orbit_spans_one_code_m4(self):
+        left, right = restricted_elements(F3, 4)
+        labels = _unit_orbits(F3, 4, left, right)
+        keys = []
+        for a, a_prime in product(left, right):
+            rref = construct_code(a, a_prime).rref
+            keys.append((rref.shape, rref.tobytes()))
+        assert all(keys[x] == keys[label] for x, label in enumerate(labels))
+        assert len(set(keys)) == np.unique(labels).size == 55
+
+
 class TestMcDeltaProb:
     def test_empty_trials(self):
         with pytest.raises(EmptyTrialSet):
@@ -250,12 +309,13 @@ class TestMcDeltaProb:
             (4, Fraction(1, 3), 2000, Fraction(274, 729)),
             (4, Fraction(1, 2), 2000, Fraction(562, 729)),
             (5, Fraction(2, 5), 1000, Fraction(2560, 6561)),
+            (7, Fraction(3, 10), 2000, Fraction(72800, 531441)),
         ),
     )
     def test_agrees_with_exact_where_not_saturated(self, m, delta, trials, leq):
         # Pr(d <= delta) lies well inside (0, 1) here, so an estimate of the
         # wrong side of the event misses by more than 10 standard errors
-        if m == 5:
+        if m >= 5:
             assert exact_delta_leq_prob(F3, m, delta).exact == leq
         rep = mc_delta_prob(F3, m, delta, trials=trials, seed=2024)
         p = 1 - leq
@@ -263,6 +323,14 @@ class TestMcDeltaProb:
             assert rep.exact == p
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(rep.estimate - p) <= 4 * se
+
+    def test_exact_attached_only_within_limit(self):
+        # the 9 pairs at m=2 are swept under limit 9; under limit 8 the row
+        # carries no exact value instead of raising
+        rep = mc_delta_prob(F3, 2, Fraction(1, 3), trials=50, seed=5, limit=9)
+        assert rep.exact == Fraction(7, 9)
+        rep = mc_delta_prob(F3, 2, Fraction(1, 3), trials=50, seed=5, limit=8)
+        assert rep.exact is None
 
     def test_impossible_event_estimates_one(self):
         rep = mc_delta_prob(F3, 2, 0.1, trials=300, seed=9)
@@ -290,6 +358,7 @@ class TestFullRank:
     def test_census_matches_formula(self):
         assert fullrank_census(F3, 2) == Fraction(8, 9)
         assert fullrank_census(F3, 4) == Fraction(640, 729)
+        assert fullrank_census(F3, 7) == exact_fullrank_prob(7, 3) == Fraction(531440, 531441)
 
     def test_census_matches_formula_q5(self):
         assert fullrank_census(PrimeField(5), 2) == exact_fullrank_prob(2, 5)

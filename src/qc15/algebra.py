@@ -84,6 +84,29 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:end])
 
 
+def _reduce(rem: list[int], divisor: Sequence[int], p: int) -> list[int]:
+    """Divide in place: rem becomes rem mod divisor, stripped; returns the quotient.
+
+    Both are coefficient lists reduced mod p, divisor without trailing zeros
+    and nonzero. Each step subtracts a multiple of the divisor's nonzero terms
+    only, so a sparse divisor such as X^m - 1 costs one update per step.
+    """
+    dg = len(divisor) - 1
+    inv_lead = pow(divisor[-1], -1, p)
+    terms = [(j, g) for j, g in enumerate(divisor[:-1]) if g]
+    quot = [0] * max(len(rem) - dg, 0)
+    for k in range(len(rem) - 1 - dg, -1, -1):
+        c = rem[dg + k] * inv_lead % p
+        if c:
+            quot[k] = c
+            for j, g in terms:
+                rem[j + k] = (rem[j + k] - c * g) % p
+    del rem[dg:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot
+
+
 @dataclass(frozen=True)
 class Poly:
     """A polynomial over GF(p): ascending coefficients, no trailing zeros.
@@ -215,19 +238,8 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        p = self.field.p
-        inv_lead = self.field.inv(other.lead())
         rem = list(self.coeffs)
-        dd, dg = len(rem) - 1, len(other.coeffs) - 1
-        if dd < dg:
-            return Poly.zero(self.field), self
-        quot = [0] * (dd - dg + 1)
-        for k in range(dd - dg, -1, -1):
-            c = (rem[dg + k] * inv_lead) % p
-            quot[k] = c
-            if c:
-                for j, g in enumerate(other.coeffs):
-                    rem[j + k] = (rem[j + k] - c * g) % p
+        quot = _reduce(rem, other.coeffs, self.field.p)
         return Poly(self.field, tuple(quot)), Poly(self.field, tuple(rem))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -245,10 +257,15 @@ class Poly:
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor; gcd(0, 0) = 0 by convention."""
         self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        p = self.field.p
+        a, b = list(self.coeffs), list(other.coeffs)
+        while b:
+            _reduce(a, b, p)
+            a, b = b, a
+        if a:
+            inv_lead = pow(a[-1], -1, p)
+            a = [c * inv_lead for c in a]
+        return Poly(self.field, tuple(a))
 
     def divides(self, other: "Poly") -> bool:
         if self.is_zero():
@@ -277,7 +294,7 @@ class RingElement:
         if len(self.coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.coeffs)}")
         p = self.field.p
-        object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([c % p for c in self.coeffs]))
 
     # -- constructors ----------------------------------------------------------
 
@@ -359,18 +376,15 @@ class RingElement:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        p, n = self.field.p, self.n
-        out = [0] * n
+        n = self.n
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = [0] * (2 * n)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    k = i + j
-                    if k >= n:
-                        k -= n
-                    out[k] = (out[k] + a * b) % p
-        return RingElement(self.field, n, tuple(out))
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
+        # X^n = 1 folds the top half down; __post_init__ reduces mod p
+        return RingElement(self.field, n, tuple([x + y for x, y in zip(out, out[n:])]))
 
     __rmul__ = __mul__
 

@@ -30,6 +30,14 @@ class ValidationError(Exception):
     """Validation failure carrying a message for stderr."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, exit 2, like every
+    other validation error; subparsers are built with the same class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 def _field(q: int) -> PrimeField:
     try:
         return PrimeField(q)
@@ -197,7 +205,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qc15",
         description="Quasi-cyclic codes of index 1½: construction, distance, "
         "ensemble experiments, and analytic bounds.",
@@ -251,9 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "construct":
             return _cmd_construct(args, with_distance=False)
@@ -277,6 +283,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader that left early is seen here, not at exit
+    except BrokenPipeError:
+        # nobody reads the rest; the flush at interpreter exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

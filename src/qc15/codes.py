@@ -121,21 +121,21 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[list[int], np.nda
     so a row that is still nonzero when the scan reaches it is outside the
     span of the rows above it, and the kept rows end fully reduced.
     """
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    work = np.asarray(mat, dtype=dtype) % p
+    work = np.asarray(mat, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p
     kept: list[int] = []
     pivots: list[int] = []
-    i = 0
-    while (rest := np.flatnonzero(work[i:].any(axis=1))).size:
-        i += int(rest[0])
-        row = work[i]
-        c = int(np.flatnonzero(row)[0])
-        row = row * pow(int(row[c]), -1, p) % p
-        work = (work - np.outer(work[:, c], row)) % p
+    for i in range(len(work)):
+        nonzero = work[i].nonzero()[0]
+        if not nonzero.size:
+            continue
+        c = int(nonzero[0])
+        row, lead = work[i], int(work[i, c])
+        if lead != 1:
+            row = row * pow(lead, -1, p) % p
+        work = (work - work[:, c, None] * row) % p
         work[i] = row
         kept.append(i)
         pivots.append(c)
-        i += 1
     return kept, work[kept][np.argsort(pivots)].astype(np.int64)
 
 
@@ -144,8 +144,8 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[list[int], np.nda
 
 def circulant_matrix(v: RingElement) -> np.ndarray:
     """n x n circulant whose row i is the coefficient vector of X^i * v."""
-    row = np.array(v.coeffs, dtype=np.int64)
-    return np.stack([np.roll(row, i) for i in range(v.n)])
+    j = np.arange(v.n)
+    return np.array(v.coeffs, dtype=np.int64)[(j[None, :] - j[:, None]) % v.n]
 
 
 def span_matrix(a: RingElement, a_prime: RingElement) -> np.ndarray:
@@ -171,7 +171,7 @@ def generator_poly(a: RingElement, a_prime: RingElement) -> Poly:
     field = a.field
     m = a_prime.n
     g1 = a.lift().gcd(Poly.x_pow_plus_one(field, m))
-    g2 = poly_gcd(a.lift(), a_prime.lift(), Poly.x_pow_minus_one(field, m))
+    g2 = poly_gcd(Poly.x_pow_minus_one(field, m), a_prime.lift(), a.lift())
     return (g1 * g2).monic()
 
 
@@ -332,25 +332,32 @@ class Qc15Code:
 def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     """Build the code spanned by (a, a') along with g, h, dim and a generator matrix.
 
-    The generator matrix is the canonical one: scan the 2m rows of the span
-    matrix top-down and keep each row that increases the rank.
+    The generator matrix is the canonical one: the rows a top-down scan of
+    the span matrix keeps, each row that increases the rank. As a module
+    the code is GF(p)[X]/(h), so no nonzero polynomial of degree < dim
+    annihilates (a, a') and the scan keeps exactly rows 0..dim-1, the
+    encodings of X^0..X^{dim-1}. Both halves of that are checked: those
+    rows give dim pivots, and h annihilates the pair (sum of h_k times row
+    k mod 2m is 0), so X^dim and every higher power encode into their span.
     """
     if a.n != 2 * a_prime.n or a.field != a_prime.field:
         raise RingMismatch(f"need a in R_2m and a' in R_m, got R_{a.n} and R_{a_prime.n}")
     field = a.field
+    p = field.p
     m = a_prime.n
-    if gcd(m, field.p) != 1:
-        raise NotCoprime(f"m={m} must be coprime to p={field.p}")
+    if gcd(m, p) != 1:
+        raise NotCoprime(f"m={m} must be coprime to p={p}")
     g = generator_poly(a, a_prime)
     h = check_poly(g, m)
     dim = int(h.degree) if not h.is_zero() else 0
     full = span_matrix(a, a_prime)
-    rows, rref = leading_independent_rows(full, field.p)
+    gen = full[:dim]
+    rows, rref = leading_independent_rows(gen, p)
     if len(rows) != dim:
-        raise AssertionError(
-            f"rank of the span matrix ({len(rows)}) disagrees with deg h ({dim})"
-        )
-    gen = full[rows] if rows else np.zeros((0, 3 * m), dtype=np.int64)
+        raise AssertionError(f"the first deg h = {dim} span matrix rows have rank {len(rows)}")
+    h_vec = np.array(h.coeffs, dtype=np.int64 if (p - 1) ** 2 * (dim + 1) < 2**63 else object)
+    if (h_vec @ full[np.arange(dim + 1) % (2 * m)] % p).any():
+        raise AssertionError(f"h = {h.to_text()} does not annihilate (a, a')")
     gen.setflags(write=False)
     rref.setflags(write=False)
     return Qc15Code(field, m, a, a_prime, g, h, dim, gen, rref)

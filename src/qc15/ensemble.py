@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -79,8 +80,11 @@ def weight_threshold(m: int, delta: DeltaLike) -> int:
 # -- the restricted pair space ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def restricted_generators(field: PrimeField, m: int) -> tuple[RingElement, RingElement]:
-    """Generators of the two restricted ideals: (X^m+1)(X-1) in R_{2m} and X-1 in R_m."""
+    """Generators of the two restricted ideals: (X^m+1)(X-1) in R_{2m} and X-1 in R_m.
+
+    Cached: every sampled trial multiplies by the same pair."""
     left = Poly.x_pow_plus_one(field, m) * Poly(field, (-1, 1))
     return (
         RingElement.from_poly(left, 2 * m),
@@ -113,8 +117,8 @@ def sample_pair(field: PrimeField, m: int, rng: np.random.Generator) -> Restrict
         raise NotCoprime(f"m={m} must be coprime to p={field.p}")
     gen2m, genm = restricted_generators(field, m)
     p = field.p
-    f = RingElement(field, 2 * m, tuple(int(c) for c in rng.integers(0, p, size=2 * m)))
-    f2 = RingElement(field, m, tuple(int(c) for c in rng.integers(0, p, size=m)))
+    f = RingElement(field, 2 * m, tuple(rng.integers(0, p, size=2 * m).tolist()))
+    f2 = RingElement(field, m, tuple(rng.integers(0, p, size=m).tolist()))
     return RestrictedPair(f * gen2m, f2 * genm)
 
 
@@ -130,11 +134,7 @@ def ideal_dim(b: RingElement) -> int:
 def ideal_basis(b: RingElement) -> np.ndarray:
     """Rows X^i * g for i < dim, where g = gcd(lift(b), X^n - 1) generates <b>."""
     g = b.lift().gcd(Poly.x_pow_minus_one(b.field, b.n))
-    d = b.n - int(g.degree)
-    if d == 0:
-        return np.zeros((0, b.n), dtype=np.int64)
-    row = np.array(list(g.coeffs) + [0] * (b.n - len(g.coeffs)), dtype=np.int64)
-    return np.stack([np.roll(row, i) for i in range(d)])
+    return circulant_matrix(RingElement.from_poly(g, b.n))[: b.n - int(g.degree)]
 
 
 def ideal_elements(b: RingElement, limit: int = DEFAULT_ENUM_LIMIT) -> np.ndarray:

@@ -29,8 +29,22 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+F11 = PrimeField(11)
+
+
 def poly(field, text):
     return Poly.from_text(field, text)
+
+
+def random_poly(rnd: random.Random, field: PrimeField, max_len: int) -> Poly:
+    return Poly(field, tuple(rnd.randrange(field.p) for _ in range(rnd.randrange(max_len))))
+
+
+def reference_gcd(f: Poly, g: Poly) -> Poly:
+    """Textbook Euclid on Poly's % operator."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic()
 
 
 class TestPrimeField:
@@ -154,6 +168,25 @@ class TestPoly:
             c = Poly(field, tuple(rnd.randrange(field.p) for _ in range(rnd.randrange(1, 4))))
             if not c.is_zero():
                 assert c.divides((f * c).gcd(g * c))
+        # degrees up to 62, p up to 11, sparse operands: X^m - 1, X^m + 1 and
+        # the restricted generator (X^m + 1)(X - 1), against a reference Euclid
+        for _ in range(150):
+            field = rnd.choice((F3, F5, F7, F11))
+            m = rnd.randrange(1, 32)
+            sparse = (
+                Poly.x_pow_minus_one(field, m),
+                Poly.x_pow_plus_one(field, m),
+                Poly.x_pow_plus_one(field, m) * Poly(field, (-1, 1)),
+            )
+            f = rnd.choice(sparse + (random_poly(rnd, field, 63),))
+            g = random_poly(rnd, field, 63)
+            if rnd.random() < 0.5:
+                g = g * rnd.choice(sparse)
+            for u, v in ((f, g), (g, f)):
+                if not v.is_zero():
+                    q, r = divmod(u, v)
+                    assert q * v + r == u and (r.is_zero() or r.degree < v.degree)
+            assert f.gcd(g) == g.gcd(f) == reference_gcd(f, g)
 
     def test_evaluate(self):
         f = poly(F3, "2,1,2,1")
@@ -193,6 +226,21 @@ class TestRingElement:
             mk = lambda: RingElement(field, n, tuple(rnd.randrange(field.p) for _ in range(n)))
             x, y, z = mk(), mk(), mk()
             assert x * y == y * x
+            assert (x * y) * z == x * (y * z)
+        # co-lengths up to 62, p up to 11, sparse operands: the restricted
+        # generators and X^k +- 1, against the folded product of the lifts
+        for _ in range(120):
+            field = rnd.choice((F3, F5, F7, F11))
+            m = rnd.randrange(1, 32)
+            n, sparse = rnd.choice((
+                (2 * m, Poly.x_pow_plus_one(field, m) * Poly(field, (-1, 1))),
+                (m, Poly(field, (-1, 1))),
+                (2 * m, Poly.x_pow_minus_one(field, rnd.randrange(1, 2 * m + 1))),
+                (2 * m, Poly.x_pow_plus_one(field, rnd.randrange(1, 2 * m + 1))),
+            ))
+            operands = [sparse] + [random_poly(rnd, field, n + 1) for _ in range(2)]
+            x, y, z = (RingElement.from_poly(rnd.choice(operands), n) for _ in range(3))
+            assert x * y == y * x == RingElement.from_poly(x.lift() * y.lift(), n)
             assert (x * y) * z == x * (y * z)
 
     def test_x_to_the_n_is_identity(self):

@@ -3,14 +3,23 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qc15.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
-    rc = main(list(argv))
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:  # the argument parser exits on its own
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -127,6 +136,23 @@ class TestConstruct:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_closed_stdout_exits_0_quietly(self):
+        # 3^10 codewords print about 1.5 MB, far more than a pipe holds, so
+        # the writer is still writing when the reader closes after one line
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qc15.cli", "construct", "--q", "3", "--m", "5",
+             "--a", "1", "--a-prime", "1", "--list-codewords"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
     def test_enum_limit_exits_3(self, capsys):
         rc, _, err = run_cli(
             capsys, "construct", "--q", "3", "--m", "2", "--a", "2,1", "--a-prime", "2,1",
@@ -202,6 +228,18 @@ class TestSweep:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", (("--trials", "abc"), ("--seed", "x"), ("--bogus",)))
+    def test_bad_option_exits_2(self, capsys, option):
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.1", *option)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        rc, out, err = run_cli(capsys, "sweep", "--help")
+        assert rc == 0
+        assert out.startswith("usage: qc15 sweep") and err == ""
 
     @pytest.mark.parametrize("m", (",", "", "2,,4", "2,4,", " "))
     def test_empty_m_list_exits_2(self, capsys, m):
@@ -280,6 +318,14 @@ class TestBounds:
     @pytest.mark.parametrize("delta", ("-1", "1/0", "1e400"))
     def test_bad_delta_exits_2(self, capsys, delta):
         rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--m", "5", "--delta", delta)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", (("--scan-m", "-5..3"), ("--m", "x"), ("--scan-m",)))
+    def test_bad_option_exits_2(self, capsys, argv):
+        # a value that starts with "-" reads as an option: --scan-m=-5..3 passes it
+        rc, out, err = run_cli(capsys, "bounds", "--q", "3", *argv)
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qc15 import codes
 from qc15.algebra import Poly, PrimeField, RingElement
 from qc15.codes import (
     Qc15Code,
@@ -20,6 +21,7 @@ from qc15.codes import (
     generator_poly,
     gf_rank,
     gf_rref,
+    leading_independent_rows,
     span_matrix,
 )
 from qc15.ensemble import restricted_elements
@@ -186,6 +188,14 @@ class TestCirculants:
             mat = circulant_matrix(v)
             for i in range(m):
                 assert tuple(int(c) for c in mat[i]) == v.shift(i).coeffs
+        for _ in range(30):
+            n = rnd.randrange(1, 63)
+            field = PrimeField(rnd.choice((3, 5, 7, 11)))
+            v = RingElement(field, n, tuple(rnd.randrange(field.p) for _ in range(n)))
+            mat = circulant_matrix(v)
+            assert mat.shape == (n, n)
+            for i in range(n):
+                assert tuple(int(c) for c in mat[i]) == v.shift(i).coeffs
 
 
 class TestConstructCode:
@@ -224,6 +234,57 @@ class TestConstructCode:
                 code = construct_code(a, ap)
                 assert gf_rank(span_matrix(a, ap), 3) == code.dim
                 assert gf_rank(code.gen_matrix, 3) == code.dim
+
+
+def kept_rows_cases():
+    """All 729 restricted pairs at q=3 m=4, then unrestricted pairs at q=3, 5,
+    7: random multiples of divisors of X^{2m}-1 and X^m-1 (so dims spread out),
+    the zero pair (dim 0) and (1, 0) (dim 2m)."""
+    left, right = restricted_elements(F3, 4)
+    yield from ((a, ap) for a in left for ap in right)
+    rnd = random.Random(61)
+    for p, ms in ((3, (2, 4, 5, 7)), (5, (2, 3, 4, 6)), (7, (2, 3, 4, 5))):
+        field = PrimeField(p)
+        for m in ms:
+            yield RingElement.zero(field, 2 * m), RingElement.zero(field, m)
+            yield RingElement.one(field, 2 * m), RingElement.zero(field, m)
+            x_m = ",0" * (m - 1) + ",1"
+            big = ("1", "0", "-1,1", "1,1", "1" + x_m, "-1" + x_m)  # ..., X^m + 1, X^m - 1
+            for _ in range(10):
+                a, ap = random_pair(rnd, field, m)
+                a = a * RingElement.from_text(field, 2 * m, rnd.choice(big))
+                ap = ap * RingElement.from_text(field, m, rnd.choice(("1", "0", "-1,1")))
+                yield a, ap
+
+
+class TestKeptRows:
+    def test_scan_keeps_the_first_dim_rows(self):
+        dims = set()
+        for a, ap in kept_rows_cases():
+            code = construct_code(a, ap)
+            kept, rref = leading_independent_rows(span_matrix(a, ap), code.field.p)
+            assert kept == list(range(code.dim))
+            assert np.array_equal(rref, code.rref)
+            dims.add((code.field.p, code.m, code.dim))
+        # the unrestricted pairs reach both ends and the middle
+        assert {(5, 3, 0), (5, 3, 6), (7, 4, 0), (7, 4, 8)} <= dims
+        assert len(dims) > 40
+
+    @pytest.mark.parametrize("off_by, check", ((1, "rank"), (-1, "annihilate")))
+    def test_wrong_check_poly_is_caught(self, monkeypatch, off_by, check):
+        # h of degree dim + 1 fails the pivot count, degree dim - 1 the annihilation
+        left, right = restricted_elements(F3, 4)
+        pairs = [(example2().a, example2().a_prime), (left[5], right[7])]
+        real = codes.check_poly
+
+        def wrong(g, m):
+            h = real(g, m)
+            return h * Poly.x_pow(h.field, 1) if off_by > 0 else Poly(h.field, h.coeffs[1:])
+
+        monkeypatch.setattr(codes, "check_poly", wrong)
+        for a, ap in pairs:
+            with pytest.raises(AssertionError, match=check):
+                construct_code(a, ap)
 
 
 class TestEncode:

@@ -54,6 +54,7 @@ from .ensemble import (
     weight_threshold,
 )
 from .errors import (
+    BoundOverflow,
     DimensionMismatch,
     DivisionByZero,
     DomainError,

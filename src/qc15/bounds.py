@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .algebra import min_factor_degree
-from .errors import DomainError
+from .errors import BoundOverflow, DomainError
 
 BISECTION_TOL = 1e-12
 
@@ -77,7 +77,8 @@ def delta_prob_bound(m: int, delta: float, q: int) -> float:
     on Pr(relative distance <= delta) over the restricted ensemble.
 
     Not clamped to [0, 1]: at small m the sum routinely exceeds 1, and the
-    inequality against the exact probability is still meaningful.
+    inequality against the exact probability is still meaningful. A sum past
+    the largest float raises BoundOverflow.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
@@ -86,7 +87,13 @@ def delta_prob_bound(m: int, delta: float, q: int) -> float:
         raise DomainError(f"3*delta/2 must be <= 1, got {arg}")
     ell = min_factor_degree(m, q)
     c = 0.5 - qary_entropy(q, arg) - math.log(m, q) / ell
-    return sum(q ** (-2.0 * j * c) for j in range(ell, m))
+    try:
+        total = sum(q ** (-2.0 * j * c) for j in range(ell, m))
+    except OverflowError:  # a single term past the float range
+        total = math.inf
+    if total == math.inf:
+        raise BoundOverflow(f"the sum exceeds the float range at m={m}")
+    return total
 
 
 def goodness_indicator(m: int, q: int) -> float:

@@ -19,7 +19,7 @@ from . import ensemble
 from .algebra import PrimeField, RingElement, cyclotomic_cosets, min_factor_degree
 from .codes import DEFAULT_ENUM_LIMIT, construct_code
 from .ensemble import CSV_FIELDS, EnsembleReport
-from .errors import EnumerationTooLarge, QC15Error
+from .errors import BoundOverflow, EnumerationTooLarge, QC15Error
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -83,7 +83,28 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValidationError(f"--scan-m needs a range LO..HI, got {text!r}")
     if hi < lo:
         raise ValidationError(f"--scan-m needs a range LO..HI with LO <= HI, got {text!r}")
+    if hi < 2:
+        raise ValidationError(f"--scan-m needs a range LO..HI with HI >= 2, got {text!r}")
     return lo, hi
+
+
+def _max_enum(text: str) -> int:
+    """The --max-enum value: a nonnegative integer."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return limit
+
+
+def _ideal_bound(m: int, d: int, ell: int) -> float | None:
+    """m^(d/ell), or None past the float range."""
+    try:
+        return float(m ** (d / ell))
+    except OverflowError:
+        return None
 
 
 # -- construct / distance ------------------------------------------------------------
@@ -116,40 +137,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     field = _field(args.q)
     ms = [_check_m(m) for m in _parse_int_list(args.m)]
     seed = args.seed if args.seed is not None else _default_seed()
-    deltas: list[Fraction | None]
-    if args.fullrank:
-        deltas = [None]
-    else:
-        if not args.delta:
-            raise ValidationError("sweep needs --delta unless --fullrank is given")
-        deltas = [_parse_delta(d) for d in args.delta.split(",")]
+    if not args.fullrank and not args.delta:
+        raise ValidationError("sweep needs --delta unless --fullrank is given")
+    deltas = [] if args.fullrank else [_parse_delta(d) for d in args.delta.split(",")]
 
     reports: list[EnsembleReport] = []
     for m in ms:
-        for delta in deltas:
-            if args.fullrank:
-                if args.exact:
-                    reports.append(ensemble.exact_fullrank_report(field, m))
-                else:
-                    reports.append(ensemble.mc_fullrank_prob(field, m, args.trials, seed))
-                continue
-            if args.exact:
-                try:
-                    reports.append(
-                        ensemble.exact_delta_leq_prob(field, m, delta, args.max_enum)
-                    )
-                    continue
-                except EnumerationTooLarge:
-                    warn = "exact sweep infeasible; fell back to montecarlo"
-                    reports.append(
-                        ensemble.mc_delta_prob(
-                            field, m, delta, args.trials, seed, args.max_enum
-                        ).with_warning(warn)
-                    )
-                    continue
+        if args.fullrank:
             reports.append(
-                ensemble.mc_delta_prob(field, m, delta, args.trials, seed, args.max_enum)
+                ensemble.exact_fullrank_report(field, m)
+                if args.exact
+                else ensemble.mc_fullrank_prob(field, m, args.trials, seed)
             )
+        elif args.exact:
+            try:
+                reports += ensemble.exact_delta_leq_probs(field, m, deltas, args.max_enum)
+            except EnumerationTooLarge:
+                warn = "exact sweep infeasible; fell back to montecarlo"
+                rows = ensemble.mc_delta_probs(field, m, deltas, args.trials, seed, args.max_enum)
+                reports += [r.with_warning(warn) for r in rows]
+        else:
+            reports += ensemble.mc_delta_probs(field, m, deltas, args.trials, seed, args.max_enum)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
@@ -189,11 +197,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.delta is not None:
         delta = float(_parse_delta(args.delta))
         doc["delta"] = delta
-        doc["delta_prob_bound"] = bounds_mod.delta_prob_bound(m, delta, q)
+        try:
+            doc["delta_prob_bound"] = bounds_mod.delta_prob_bound(m, delta, q)
+        except BoundOverflow as exc:
+            doc["delta_prob_bound"] = None
+            doc["warning"] = f"no bound: {exc}"
     if args.ideals:
         counts = ensemble.count_ideals_by_dim(m, q)
         doc["ideal_counts"] = {
-            str(d): {"count": c, "bound": float(m ** (d / ell))}
+            str(d): {"count": c, "bound": _ideal_bound(m, d, ell)}
             for d, c in counts.items()
             if d > 0
         }
@@ -214,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--q", type=int, required=True, help="odd prime field size")
-        p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_LIMIT,
-                       help="enumeration ceiling (default 2^24)")
+        p.add_argument("--max-enum", type=_max_enum, default=DEFAULT_ENUM_LIMIT,
+                       help="enumeration ceiling, at least 0 (default 2^24)")
 
     p_con = sub.add_parser("construct", help="build a code from (a, a') and print JSON")
     add_common(p_con)

@@ -195,7 +195,8 @@ class DistanceResult(NamedTuple):
 class Qc15Code:
     """An index-1½ quasi-cyclic code with its derived parameters.
 
-    Immutable after construction; all methods are pure.
+    Immutable after construction, but for the memo `lightest`, which only
+    saves rescans; all methods are pure.
     """
 
     field: PrimeField
@@ -207,6 +208,9 @@ class Qc15Code:
     dim: int
     gen_matrix: np.ndarray = dc_field(repr=False)
     rref: np.ndarray = dc_field(repr=False, compare=False)  # RREF of gen_matrix
+    # (cap, lightest_word_weight(cap)) of the widest scan so far; (0, 1) holds
+    # for every nonzero code
+    lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -279,38 +283,55 @@ class Qc15Code:
     def has_word_of_weight_at_most(
         self, max_weight: int, limit: int = DEFAULT_ENUM_LIMIT
     ) -> bool:
-        """Whether some nonzero codeword has Hamming weight <= max_weight.
+        """Whether some nonzero codeword has Hamming weight <= max_weight."""
+        if self.dim == 0 or max_weight < 1:
+            return False
+        if max_weight >= self.length:
+            return True
+        return self.lightest_word_weight(max_weight, limit) <= max_weight
+
+    def lightest_word_weight(self, cap: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
+        """min(d_min, cap + 1): the least weight of a nonzero codeword, or
+        cap + 1 when every nonzero codeword is heavier than cap (and for the
+        zero code, which has none).
 
         Uses a weighted pivot argument on the reduced row echelon form R of
         the generator matrix. A column of R whose only nonzero entry sits in
         row r is a multiple of pivot column r, so the codeword y @ R is
         nonzero there exactly when y_r is. With mult[r] such columns in row
         r, those columns carry sum(mult[r] for y_r != 0) of the weight of
-        y @ R, and only messages where that sum is <= max_weight can give a
-        light word; the product is taken over the other columns only. On a
-        restricted pair every pivot of the u-part has its copy, mult = 2, so
-        the message weight cap roughly halves. This is what makes threshold
-        queries fast at co-indexes where a full p^dim sweep is not.
+        y @ R, so every word of weight <= cap comes from a message where that
+        sum is <= cap, and the lightest of those messages' words, capped at
+        cap + 1, is the answer; the product is taken over the other columns
+        only. On a restricted pair every pivot of the u-part has its copy,
+        mult = 2, so the message weight cap roughly halves. This is what
+        makes threshold queries fast at co-indexes where a full p^dim sweep
+        is not.
 
-        The limit applies to the count of messages of plain weight <=
-        max_weight, an upper bound on the candidates tried.
+        The limit applies to the count of messages of plain weight <= cap,
+        an upper bound on the candidates tried; it is checked on every call.
+        The code keeps the result of its widest scan, and answers any cap up
+        to that one from it.
         """
-        if self.dim == 0 or max_weight < 1:
-            return False
-        if max_weight >= self.length:
-            return True
+        if self.dim == 0 or cap < 1:
+            return cap + 1
         p = self.field.p
-        n_cand = low_weight_message_count(p, self.dim, min(max_weight, self.dim))
+        n_cand = low_weight_message_count(p, self.dim, min(cap, self.dim))
         if n_cand > limit:
             raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
+        kept_cap, kept = self.lightest
+        if cap <= kept_cap:
+            return min(kept, cap + 1)
         nonzero = self.rref != 0
         single = nonzero.sum(axis=0) == 1
         mult = nonzero[:, single].sum(axis=1)
         order = np.argsort(mult, kind="stable")  # one cache entry per multiset of mult
-        cand = low_weight_messages(p, tuple(mult[order].tolist()), max_weight)
+        cand = low_weight_messages(p, tuple(mult[order].tolist()), cap)
         words = gf_matmul(cand, self.rref[order][:, ~single], p)
         weights = (cand != 0) @ mult[order] + np.count_nonzero(words, axis=1)
-        return bool((weights <= max_weight).any())
+        lightest = int(weights.min(initial=cap + 1))
+        object.__setattr__(self, "lightest", (cap, lightest))
+        return lightest
 
     def to_json_dict(self, distance: DistanceResult | None = None) -> dict:
         doc = {

@@ -15,11 +15,13 @@ because the relative distance of the zero code is not a defined quantity.
 
 Experiments
 -----------
-Every experiment runs one per-pair event (the distance event, or dim = m - 1)
-over one pair source: one pair per orbit of the unit group of R_m, standing
-for its whole orbit, or seeded samples, each standing for itself. One tally
-counts pairs, hits and zero codes, and one builder turns the counts into an
-EnsembleReport.
+Every experiment runs one per-pair event, with one outcome per report row
+(the distance event at each threshold, or dim = m - 1), over one pair
+source: one pair per orbit of the unit group of R_m, standing for its whole
+orbit, or seeded samples, each standing for itself. One tally counts pairs,
+hits per row and zero codes, and one builder turns the counts into an
+EnsembleReport per row. A pair's code is built and scanned once for all its
+thresholds.
 
 The orbits: (a, a') and (u~ a, u a') span the same code for every unit u of
 R_m, where u~ is any lift of u to R_{2m} (a is a multiple of X^m + 1, so
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -286,7 +288,8 @@ class EnsembleReport:
 ATTACH_EXACT_PAIRS = 1000
 
 Pairs = Iterator[tuple[RestrictedPair, int]]
-Event = Callable[[RingElement, RingElement], bool]
+# One outcome per report row: whether the row's event holds for the pair.
+Event = Callable[[RingElement, RingElement], Sequence[bool]]
 
 
 def _index_map(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -382,24 +385,36 @@ def _pair_source(
     )
 
 
-def _tally(pairs: Pairs, event: Event) -> tuple[int, int, int]:
-    """(pairs, pairs where event holds, zero codes), each pair counted as many
-    times as it stands for. Only the pair (0, 0) spans the zero code."""
-    n = hits = zero_codes = 0
+def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
+    """(pairs, pairs where each row's event holds, zero codes), each pair
+    counted as many times as it stands for. Only the pair (0, 0) spans the
+    zero code."""
+    n = zero_codes = 0
+    hits = [0] * rows
     for (a, a_prime), size in pairs:
         n += size
-        hits += size * event(a, a_prime)
+        for row, holds in enumerate(event(a, a_prime)):
+            hits[row] += size * holds
         zero_codes += size * (a.is_zero() and a_prime.is_zero())
     return n, hits, zero_codes
 
 
-def _distance_event(t: int, limit: int) -> Event:
-    """Some nonzero word has weight <= t; never true of the zero code."""
-    return lambda a, a_prime: construct_code(a, a_prime).has_word_of_weight_at_most(t, limit)
+def _distance_event(ts: Sequence[int], limit: int) -> Event:
+    """Per threshold t in ts: some nonzero word has weight <= t; never true
+    of the zero code. Each pair's code is built once and asked the largest t
+    first, so one scan answers every row."""
+    widest_first = sorted(set(ts), reverse=True)
+
+    def event(a: RingElement, a_prime: RingElement) -> list[bool]:
+        code = construct_code(a, a_prime)
+        holds = {t: code.has_word_of_weight_at_most(t, limit) for t in widest_first}
+        return [holds[t] for t in ts]
+
+    return event
 
 
 def _fullrank_event(m: int) -> Event:
-    return lambda a, a_prime: 2 * m - int(generator_poly(a, a_prime).degree) == m - 1
+    return lambda a, a_prime: (2 * m - int(generator_poly(a, a_prime).degree) == m - 1,)
 
 
 def _report(
@@ -437,15 +452,61 @@ def _report(
     )
 
 
+def exact_delta_leq_probs(
+    field: PrimeField, m: int, deltas: Sequence[DeltaLike], limit: int = DEFAULT_ENUM_LIMIT
+) -> list[EnsembleReport]:
+    """Exact Pr(relative distance <= delta), one report per delta, from one
+    pass that builds one code per unit orbit of restricted pairs."""
+    pairs = _pair_source(field, m, limit)
+    ts = [weight_threshold(m, delta) for delta in deltas]
+    n, hits, zero_codes = _tally(pairs, _distance_event(ts, limit), len(ts))
+    return [
+        _report(field, m, delta, n, leq, zero_codes, Fraction(leq, n), None)
+        for delta, leq in zip(deltas, hits)
+    ]
+
+
 def exact_delta_leq_prob(
     field: PrimeField, m: int, delta: DeltaLike, limit: int = DEFAULT_ENUM_LIMIT
 ) -> EnsembleReport:
-    """Exact Pr(relative distance <= delta), one code per unit orbit of
-    restricted pairs."""
-    pairs = _pair_source(field, m, limit)
-    event = _distance_event(weight_threshold(m, delta), limit)
-    n, hits, zero_codes = _tally(pairs, event)
-    return _report(field, m, delta, n, hits, zero_codes, Fraction(hits, n), None)
+    """exact_delta_leq_probs for one delta."""
+    return exact_delta_leq_probs(field, m, [delta], limit)[0]
+
+
+def mc_delta_probs(
+    field: PrimeField,
+    m: int,
+    deltas: Sequence[DeltaLike],
+    trials: int,
+    seed: int,
+    limit: int = DEFAULT_ENUM_LIMIT,
+) -> list[EnsembleReport]:
+    """Monte-Carlo estimates of Pr(relative distance > delta), one report per
+    delta, from one pass over the trials.
+
+    A trial is a hit when its code has no nonzero word of weight <=
+    floor(3 m delta); zero-code draws are hits under the module convention
+    and are tallied in zero_code_fraction. The candidate limit is checked
+    for every delta, in order, before the first trial. When the full pair
+    space has at most min(ATTACH_EXACT_PAIRS, limit) pairs the exact
+    complements are attached for cross-checking.
+    """
+    pairs = _pair_source(field, m, trials=trials, seed=seed)
+    ts = [weight_threshold(m, delta) for delta in deltas]
+    for t in ts:
+        candidates = low_weight_message_count(field.p, m - 1, min(t, m - 1)) if m > 1 else 0
+        if candidates > limit:
+            raise EnumerationTooLarge(
+                f"{candidates} low-weight candidates per trial exceed the limit {limit}"
+            )
+    n, leq, zero_codes = _tally(pairs, _distance_event(ts, limit), len(ts))
+    exact: list[Fraction | None] = [None] * len(ts)
+    if field.p ** (2 * (m - 1)) <= min(ATTACH_EXACT_PAIRS, limit):
+        exact = [1 - r.exact for r in exact_delta_leq_probs(field, m, deltas, limit)]
+    return [
+        _report(field, m, delta, n, n - hits, zero_codes, e, seed)
+        for delta, hits, e in zip(deltas, leq, exact)
+    ]
 
 
 def mc_delta_prob(
@@ -456,26 +517,8 @@ def mc_delta_prob(
     seed: int,
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> EnsembleReport:
-    """Monte-Carlo estimate of Pr(relative distance > delta).
-
-    A trial is a hit when its code has no nonzero word of weight <=
-    floor(3 m delta); zero-code draws are hits under the module convention
-    and are tallied in zero_code_fraction. When the full pair space has at
-    most min(ATTACH_EXACT_PAIRS, limit) pairs the exact complement is
-    attached for cross-checking.
-    """
-    pairs = _pair_source(field, m, trials=trials, seed=seed)
-    t = weight_threshold(m, delta)
-    candidates = low_weight_message_count(field.p, m - 1, min(t, m - 1)) if m > 1 else 0
-    if candidates > limit:
-        raise EnumerationTooLarge(
-            f"{candidates} low-weight candidates per trial exceed the limit {limit}"
-        )
-    n, leq, zero_codes = _tally(pairs, _distance_event(t, limit))
-    exact = None
-    if field.p ** (2 * (m - 1)) <= min(ATTACH_EXACT_PAIRS, limit):
-        exact = 1 - exact_delta_leq_prob(field, m, delta, limit).exact
-    return _report(field, m, delta, n, n - leq, zero_codes, exact, seed)
+    """mc_delta_probs for one delta."""
+    return mc_delta_probs(field, m, [delta], trials, seed, limit)[0]
 
 
 def exact_fullrank_prob(m: int, q: int) -> Fraction:
@@ -503,7 +546,7 @@ def fullrank_census(
     Independent of exact_fullrank_prob: this counts gcd degrees over the unit
     orbits, whose sizes are counted, not derived from the coset sizes.
     """
-    n, hits, _ = _tally(_pair_source(field, m, limit), _fullrank_event(m))
+    n, (hits,), _ = _tally(_pair_source(field, m, limit), _fullrank_event(m), 1)
     return Fraction(hits, n)
 
 
@@ -512,7 +555,7 @@ def mc_fullrank_prob(
 ) -> EnsembleReport:
     """Monte-Carlo estimate of Pr(dim = m - 1); needs only gcd degrees per trial."""
     pairs = _pair_source(field, m, trials=trials, seed=seed)
-    n, hits, zero_codes = _tally(pairs, _fullrank_event(m))
+    n, (hits,), zero_codes = _tally(pairs, _fullrank_event(m), 1)
     return _report(field, m, None, n, hits, zero_codes, exact_fullrank_prob(m, field.p), seed)
 
 

@@ -47,3 +47,7 @@ class EmptyTrialSet(QC15Error, ValueError):
 
 class DomainError(QC15Error, ValueError):
     """Argument outside the mathematical domain of an analytic function."""
+
+
+class BoundOverflow(DomainError):
+    """An analytic bound is finite but larger than the largest float."""

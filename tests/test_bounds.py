@@ -13,7 +13,7 @@ from qc15.bounds import (
     qary_entropy_inv,
     scan_goodness_records,
 )
-from qc15.errors import DomainError, NotCoprime
+from qc15.errors import BoundOverflow, DomainError, NotCoprime
 
 
 def entropy_base2(q: int, x: float) -> float:
@@ -164,6 +164,13 @@ class TestDeltaProbBound:
             delta_prob_bound(1, 0.1, 3)
         with pytest.raises(NotCoprime):
             delta_prob_bound(6, 0.1, 3)
+
+    # at m = 82: a single term past the float range, and finite terms whose sum is not
+    @pytest.mark.parametrize("delta", (0.106, 0.0992544))
+    def test_past_the_float_range_raises(self, delta):
+        with pytest.raises(BoundOverflow):
+            delta_prob_bound(82, delta, 3)
+        assert 1.79e308 < delta_prob_bound(82, 0.0992543, 3) < math.inf
 
 
 class TestProofStepInequality:

@@ -33,8 +33,11 @@ HEADER = "q,m,delta,mode,trials,hits,estimate,exact,bound,zero_code_fraction,see
 # Exact stdout of small sweeps, one per branch of the sweep command: exact
 # distance rows, Monte-Carlo rows with and without the attached exact value,
 # the exact-to-Monte-Carlo fallback (also below the pair count up to which an
-# exact value is attached), the undefined bound, and both full-rank modes.
-# Any change to the CSV bytes fails here.
+# exact value is attached), the undefined bound, and both full-rank modes;
+# thresholds unsorted, repeated, 0 and past every word weight, several per
+# exact row; and a sweep stopped by the limit at a later threshold, which has
+# no stdout and pins exit code and stderr instead. Any change to the bytes
+# fails here.
 GOLDEN_SWEEPS = {
     "exact-delta": (
         "--m 2,4 --delta 0.34 --exact",
@@ -69,6 +72,40 @@ GOLDEN_SWEEPS = {
         "3,2,,montecarlo,100,88,0.88,0.8888888888888888,,0.12,11,\n"
         "3,4,,montecarlo,100,90,0.9,0.877914951989026,,0.0,11,\n"
         "3,5,,montecarlo,100,100,1.0,0.9998475842097241,,0.0,11,\n",
+    ),
+    "unsorted-repeated-delta": (
+        "--m 4 --delta 0.3,0.106,0.3 --trials 30 --seed 5",
+        "3,4,0.3,montecarlo,30,26,0.8666666666666667,0.9012345679012346,62814.6272088644,0.0,5,\n"
+        "3,4,0.106,montecarlo,30,30,1.0,1.0,4340.206567473787,0.0,5,\n"
+        "3,4,0.3,montecarlo,30,26,0.8666666666666667,0.9012345679012346,62814.6272088644,0.0,5,\n",
+    ),
+    "zero-and-large-delta": (
+        "--m 1,4,5 --delta 0,0.2,1.5 --trials 25 --seed 9",
+        '3,1,0.0,montecarlo,25,25,1.0,1.0,,1.0,9,"no bound: m must be >= 2, got 1"\n'
+        '3,1,0.2,montecarlo,25,25,1.0,1.0,,1.0,9,"no bound: m must be >= 2, got 1"\n'
+        '3,1,1.5,montecarlo,25,25,1.0,1.0,,1.0,9,"no bound: m must be >= 2, got 1"\n'
+        "3,4,0.0,montecarlo,25,25,1.0,1.0,185.48148148148152,0.0,9,\n"
+        "3,4,0.2,montecarlo,25,24,0.96,0.9012345679012346,21415.512398938467,0.0,9,\n"
+        "3,4,1.5,montecarlo,25,0,0.0,0.0013717421124828531,,0.0,9,"
+        '"no bound: 3*delta/2 must be <= 1, got 2.25"\n'
+        "3,5,0.0,montecarlo,25,25,1.0,,0.3086419753086418,0.0,9,\n"
+        "3,5,0.2,montecarlo,25,24,0.96,,215.9170529861201,0.0,9,\n"
+        "3,5,1.5,montecarlo,25,0,0.0,,,0.0,9,"
+        '"no bound: 3*delta/2 must be <= 1, got 2.25"\n',
+    ),
+    "exact-multi-delta": (
+        "--m 4 --delta 0.106,0.5,0.3 --exact",
+        "3,4,0.106,exact,729,0,0.0,0.0,4340.206567473787,0.0013717421124828531,,\n"
+        "3,4,0.5,exact,729,562,0.7709190672153635,0.7709190672153635,102421.95210900217,"
+        "0.0013717421124828531,,\n"
+        "3,4,0.3,exact,729,72,0.09876543209876543,0.09876543209876543,62814.6272088644,"
+        "0.0013717421124828531,,\n",
+    ),
+    "limit-at-a-later-delta": (
+        "--m 4,11 --delta 0.05,0.3 --exact --max-enum 100 --trials 3 --seed 2",
+        None,
+        3,
+        "error: 29012 low-weight candidates per trial exceed the limit 100\n",
     ),
     "exact-fullrank": (
         "--m 2,4,7 --fullrank --exact",
@@ -136,6 +173,14 @@ class TestConstruct:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ("construct", "distance"))
+    def test_negative_max_enum_exits_2(self, capsys, command):
+        rc, out, err = run_cli(capsys, command, "--q", "3", "--m", "2", "--a", "2,1",
+                               "--a-prime", "2,1", "--max-enum", "-1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--max-enum" in err and err.count("\n") == 1
+
     def test_closed_stdout_exits_0_quietly(self):
         # 3^10 codewords print about 1.5 MB, far more than a pipe holds, so
         # the writer is still writing when the reader closes after one line
@@ -164,11 +209,10 @@ class TestConstruct:
 class TestSweep:
     @pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS))
     def test_golden_stdout(self, capsys, case):
-        options, rows = GOLDEN_SWEEPS[case]
+        options, rows, *status = GOLDEN_SWEEPS[case]
         rc, out, err = run_cli(capsys, "sweep", "--q", "3", *options.split())
-        assert rc == 0
-        assert err == ""
-        assert out == HEADER + rows
+        assert (rc, err) == (tuple(status) or (0, ""))
+        assert out == ("" if rows is None else HEADER + rows)
 
     def test_exact_mode_estimate_equals_exact(self, capsys):
         rc, out, _ = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.1", "--exact")
@@ -229,7 +273,8 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("option", (("--trials", "abc"), ("--seed", "x"), ("--bogus",)))
+    @pytest.mark.parametrize("option", (("--trials", "abc"), ("--seed", "x"), ("--bogus",),
+                                        ("--exact", "--max-enum", "-1")))
     def test_bad_option_exits_2(self, capsys, option):
         rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.1", *option)
         assert rc == 2
@@ -262,6 +307,14 @@ class TestSweep:
         row = parse_csv(out)[0]
         assert row["bound"] == ""
         assert row["warning"].startswith("no bound: 3*delta/2 must be <= 1")
+
+    def test_bound_past_float_range_gives_reason(self, capsys):
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "88", "--delta", "0.02",
+                               "--trials", "1", "--max-enum", "1000000000")
+        assert rc == 0 and err == ""
+        row = parse_csv(out)[0]
+        assert row["bound"] == ""
+        assert row["warning"].startswith("no bound: the sum exceeds the float range")
 
     def test_undefined_bound_joins_fallback_warning(self, capsys):
         rc, out, _ = run_cli(
@@ -302,15 +355,31 @@ class TestBounds:
             "3": {"count": 1, "bound": 64.0},
         }
 
+    def test_bound_past_float_range_is_null(self, capsys):
+        rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--m", "82", "--delta", "0.106")
+        assert rc == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["delta_prob_bound"] is None
+        assert doc["warning"].startswith("no bound: the sum exceeds the float range")
+
+    @pytest.mark.parametrize("m", (242, 364, 1000))
+    def test_ideal_bound_past_float_range_is_null(self, capsys, m):
+        rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--m", str(m), "--ideals")
+        assert rc == 0 and err == ""
+        table = json.loads(out)["ideal_counts"]
+        assert all(entry["count"] >= 1 for entry in table.values())
+        bounds = [entry["bound"] for entry in table.values()]
+        assert None in bounds and all(b is None or b > 0 for b in bounds)
+
     def test_scan(self, capsys):
         rc, out, _ = run_cli(capsys, "bounds", "--q", "3", "--scan-m", "2..50")
         doc = json.loads(out)
         vals = [r["goodness_indicator"] for r in doc["scan"]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("scan", ("5", "2..x", "..9", "9..2"))
+    @pytest.mark.parametrize("scan", ("5", "2..x", "..9", "9..2", "-5..1", "0..1"))
     def test_scan_without_range_exits_2(self, capsys, scan):
-        rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--scan-m", scan)
+        rc, out, err = run_cli(capsys, "bounds", "--q", "3", f"--scan-m={scan}")
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and "LO..HI" in err and err.count("\n") == 1

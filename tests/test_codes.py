@@ -434,6 +434,18 @@ class TestLowWeightSearch:
             d = code.min_distance().distance
             assert [code.has_word_of_weight_at_most(w) for w in ws] == [d <= w for w in ws]
 
+    def test_lightest_word_weight_is_capped_min_distance(self):
+        # caps upward rescan each time; caps downward are answered from the
+        # kept widest scan, and must agree
+        for code in scan_oracle_codes():
+            caps = range(0, code.length + 1)
+            d = code.min_distance().distance if code.dim else code.length + 1
+            expected = [min(d, cap + 1) for cap in caps]
+            assert [code.lightest_word_weight(cap) for cap in caps] == expected
+            if code.dim:
+                assert code.lightest == (code.length, d)
+            assert [code.lightest_word_weight(cap) for cap in reversed(caps)] == expected[::-1]
+
     @pytest.mark.parametrize("m", (4, 5))
     def test_stored_rref_matches_gf_rref(self, m):
         for a, ap in restricted_pairs(m):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .errors import (
@@ -171,9 +173,6 @@ class Poly:
         if not self.coeffs:
             raise DivisionByZero("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if k < len(self.coeffs) else 0
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -450,9 +449,10 @@ class CosetPartition:
     """The q-cyclotomic cosets mod m: orbits of s -> s*q on Z_m.
 
     Coset sizes equal the degrees of the irreducible factors of X^m - 1 over
-    GF(q), with the coset {0} corresponding to the factor X - 1. That is all
-    the factor information any formula in this package needs, so irreducible
-    factor polynomials are never computed.
+    GF(q), with the coset {0} corresponding to the factor X - 1, and the
+    dimensions of the blocks e_C R_m of the primitive idempotents
+    (coset_idempotents). That is all the factor information any formula
+    here needs, so irreducible factor polynomials are never computed.
     """
 
     m: int
@@ -462,10 +462,6 @@ class CosetPartition:
     def nonzero_sizes(self) -> list[int]:
         """Sizes of the cosets other than {0}, i.e. degrees of the factors of (X^m-1)/(X-1)."""
         return [len(c) for c in self.cosets if c != (0,)]
-
-    @property
-    def factor_count(self) -> int:
-        return len(self.nonzero_sizes())
 
 
 def cyclotomic_cosets(m: int, q: int) -> CosetPartition:
@@ -497,3 +493,35 @@ def min_factor_degree(m: int, q: int) -> int:
         raise NoNonzeroCoset("(X^m - 1)/(X - 1) has no factors when m = 1")
     sizes = cyclotomic_cosets(m, q).nonzero_sizes()
     return min(sizes)
+
+
+@lru_cache(maxsize=None)
+def coset_idempotents(field: PrimeField, n: int) -> tuple[RingElement, ...]:
+    """The primitive idempotents e_C of R_n, one per p-cyclotomic coset C mod n,
+    in cyclotomic_cosets order: dim e_C R_n = |C|, e_{0} = (1 + ... + X^(n-1))/n.
+
+    f^p = f iff f is constant on the cosets, so the coset sums span the
+    Frobenius-fixed subalgebra, GF(p)^(cosets) with unit vectors e_C. Each piece
+    of 1 is split by Lagrange interpolation on the values {0, 1, -1} of
+    h = (s + c)^((p-1)/2), s a coset sum, c = 0, 1, ...: into 1 - h^2 and
+    (h^2 +- h)/2; cosets where s takes v != w part at c = -v at the latest.
+    Which e_C of a size goes with which coset of that size depends on a
+    choice of root of unity, which nothing here fixes."""
+    p = field.p
+    cosets = cyclotomic_cosets(n, p).cosets
+    one = RingElement.one(field, n)
+    pieces = [one]
+    for c, coset in product(range(p), cosets):
+        if len(pieces) == len(cosets):
+            break
+        x = RingElement(field, n, tuple((j in coset) + c * (j == 0) for j in range(n)))
+        h = one
+        for bit in bin((p - 1) // 2)[2:]:
+            h = h * h * x if bit == "1" else h * h
+        h2 = h * h
+        parts = (one - h2, (h2 + h).scale(field.half), (h2 - h).scale(field.half))
+        pieces = [y for e in pieces for part in parts if not (y := e * part).is_zero()]
+    dim = lambda e: n - e.lift().gcd(Poly.x_pow_minus_one(field, n)).degree
+    pieces.sort(key=lambda e: (dim(e), len(set(e.coeffs)) > 1, e.coeffs))  # e_{0} first
+    slots = sorted(range(len(cosets)), key=lambda i: len(cosets[i]))
+    return tuple(pieces[slots.index(i)] for i in range(len(cosets)))

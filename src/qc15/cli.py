@@ -178,6 +178,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.scan_m:
         lo, hi = _parse_range(args.scan_m)
         doc["scan"] = bounds_mod.scan_goodness_records(q, lo, hi)
+        if not doc["scan"]:
+            raise ValidationError(f"--scan-m {args.scan_m} holds no m >= 2 coprime to q={q}")
         print(json.dumps(doc, indent=2))
         return EXIT_OK
 
@@ -283,16 +285,10 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "bounds":
             return _cmd_bounds(args)
         raise ValidationError(f"unknown command {args.command}")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except EnumerationTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except QC15Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValidationError, QC15Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

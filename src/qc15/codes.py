@@ -48,12 +48,6 @@ class Word:
         if len(self.coords) != 3 * self.m:
             raise ValueError(f"expected {3 * self.m} coordinates, got {len(self.coords)}")
 
-    @classmethod
-    def from_parts(cls, left: RingElement, right: RingElement) -> "Word":
-        if left.n != 2 * right.n:
-            raise RingMismatch(f"parts of co-length {left.n} and {right.n} do not pair up")
-        return cls(right.n, left.coeffs + right.coeffs)
-
     def weight(self) -> int:
         return sum(1 for c in self.coords if c)
 
@@ -229,7 +223,7 @@ class Qc15Code:
             raise RingMismatch(f"message must live in R_{2 * self.m} over GF({self.field.p})")
         left = f * self.a
         right = f.fold_to(self.m) * self.a_prime
-        return Word.from_parts(left, right)
+        return Word(self.m, left.coeffs + right.coeffs)
 
     def encode_message(self, y: Sequence[int]) -> Word:
         """Row vector times generator matrix."""

@@ -15,13 +15,13 @@ because the relative distance of the zero code is not a defined quantity.
 
 Experiments
 -----------
-Every experiment runs one per-pair event, with one outcome per report row
-(the distance event at each threshold, or dim = m - 1), over one pair
-source: one pair per orbit of the unit group of R_m, standing for its whole
-orbit, or seeded samples, each standing for itself. One tally counts pairs,
-hits per row and zero codes, and one builder turns the counts into an
-EnsembleReport per row. A pair's code is built and scanned once for all its
-thresholds.
+Every experiment runs one event over one pair source of stacks: rows of a
+and of a', each row standing for its unit orbit or, in stacks of TRIAL_BLOCK
+seeded samples, for itself. An event answers a stack with one bool column
+per report row: the distance event at each threshold, which builds and
+scans each code once for all of them, or dim = m - 1 (restricted_dims, no
+code). One tally weights the answers by the sizes and counts zero codes;
+one builder turns the counts into an EnsembleReport per row.
 
 The orbits: (a, a') and (u~ a, u a') span the same code for every unit u of
 R_m, where u~ is any lift of u to R_{2m} (a is a multiple of X^m + 1, so
@@ -47,13 +47,12 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .algebra import Poly, PrimeField, RingElement, cyclotomic_cosets
+from .algebra import Poly, PrimeField, RingElement, coset_idempotents, cyclotomic_cosets
 from .bounds import delta_prob_bound, qary_entropy
 from .codes import (
     DEFAULT_ENUM_LIMIT,
     circulant_matrix,
     construct_code,
-    generator_poly,
     gf_matmul,
     low_weight_message_count,
 )
@@ -161,10 +160,7 @@ def restricted_elements(
     gen2m, genm = restricted_generators(field, m)
 
     def walk(gen: RingElement) -> list[RingElement]:
-        return [
-            RingElement(field, gen.n, tuple(int(c) for c in row))
-            for row in ideal_elements(gen, limit)
-        ]
+        return [RingElement(field, gen.n, tuple(row)) for row in ideal_elements(gen, limit).tolist()]
 
     return walk(gen2m), walk(genm)
 
@@ -287,9 +283,11 @@ class EnsembleReport:
 # most this many pairs, cheap enough to sweep alongside the trials.
 ATTACH_EXACT_PAIRS = 1000
 
-Pairs = Iterator[tuple[RestrictedPair, int]]
-# One outcome per report row: whether the row's event holds for the pair.
-Event = Callable[[RingElement, RingElement], Sequence[bool]]
+TRIAL_BLOCK = 64  # Monte-Carlo trials drawn and answered at a time
+
+Pairs = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # a, a', pairs per row
+# One column per report row: whether the row's event holds for each pair.
+Event = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _index_map(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -352,6 +350,17 @@ def _unit_orbits(
     return labels
 
 
+def _sample_block(field: PrimeField, m: int, seed: int, start: int, trials: int) -> tuple:
+    """Trials start to min(start + TRIAL_BLOCK, trials) - 1, stacked: row k is the
+    pair sample_pair(field, m, trial_rng(seed, start + k)) returns, same draws."""
+    p = field.p
+    rngs = [trial_rng(seed, i) for i in range(start, min(start + TRIAL_BLOCK, trials))]
+    f = np.array([rng.integers(0, p, size=2 * m) for rng in rngs])
+    f2 = np.array([rng.integers(0, p, size=m) for rng in rngs])
+    gen2m, genm = (circulant_matrix(g) for g in restricted_generators(field, m))
+    return gf_matmul(f, gen2m, p), gf_matmul(f2, genm, p), np.ones(len(rngs), dtype=np.int64)
+
+
 def _pair_source(
     field: PrimeField,
     m: int,
@@ -359,30 +368,28 @@ def _pair_source(
     trials: int | None = None,
     seed: int = 0,
 ) -> Pairs:
-    """The pairs (a, a') an experiment runs over, each with the number of
-    restricted pairs it stands for; checked before the first one.
+    """The stacked pairs (a, a') an experiment runs over, each with the number
+    of restricted pairs it stands for; checked before the first stack.
 
-    With trials None: the least pair, row-major over restricted_elements, of
-    each unit orbit, standing for its orbit. Otherwise:
-    sample_pair(field, m, trial_rng(seed, i)) for i < trials, each standing
-    for itself.
+    With trials None: one stack holding the least pair, row-major over
+    restricted_elements, of each unit orbit, standing for its orbit.
+    Otherwise: sample_pair(field, m, trial_rng(seed, i)) for i < trials, each
+    standing for itself, in stacks of TRIAL_BLOCK trials.
     """
     if trials is not None and trials < 1:
         raise EmptyTrialSet("at least one trial is required")
     if gcd(m, field.p) != 1:
         raise NotCoprime(f"m={m} must be coprime to p={field.p}")
     if trials is not None:
-        return ((sample_pair(field, m, trial_rng(seed, i)), 1) for i in range(trials))
+        return (_sample_block(field, m, seed, i, trials) for i in range(0, trials, TRIAL_BLOCK))
     pairs = field.p ** (2 * (m - 1))
     if pairs > limit:
         raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
     left, right = restricted_elements(field, m, limit)
-    sizes = np.bincount(_unit_orbits(field, m, left, right)).tolist()
-    return (
-        (RestrictedPair(left[r // len(right)], right[r % len(right)]), size)
-        for r, size in enumerate(sizes)
-        if size
-    )
+    sizes = np.bincount(_unit_orbits(field, m, left, right))
+    reps = np.flatnonzero(sizes)
+    stack = lambda side, idx: np.array([side[i].coeffs for i in idx], dtype=np.int64)
+    return iter([(stack(left, reps // len(right)), stack(right, reps % len(right)), sizes[reps])])
 
 
 def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
@@ -391,30 +398,42 @@ def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
     zero code."""
     n = zero_codes = 0
     hits = [0] * rows
-    for (a, a_prime), size in pairs:
-        n += size
-        for row, holds in enumerate(event(a, a_prime)):
-            hits[row] += size * holds
-        zero_codes += size * (a.is_zero() and a_prime.is_zero())
+    for a, a_prime, sizes in pairs:
+        n += int(sizes.sum())
+        hits = [h + int(k) for h, k in zip(hits, sizes @ event(a, a_prime))]
+        zero_codes += int(sizes[~(a.any(axis=1) | a_prime.any(axis=1))].sum())
     return n, hits, zero_codes
 
 
-def _distance_event(ts: Sequence[int], limit: int) -> Event:
+def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     """Per threshold t in ts: some nonzero word has weight <= t; never true
     of the zero code. Each pair's code is built once and asked the largest t
     first, so one scan answers every row."""
     widest_first = sorted(set(ts), reverse=True)
 
-    def event(a: RingElement, a_prime: RingElement) -> list[bool]:
-        code = construct_code(a, a_prime)
-        holds = {t: code.has_word_of_weight_at_most(t, limit) for t in widest_first}
-        return [holds[t] for t in ts]
+    def holds(a: list[int], a_prime: list[int]) -> list[bool]:
+        code = construct_code(*(RingElement(field, len(x), tuple(x)) for x in (a, a_prime)))
+        found = {t: code.has_word_of_weight_at_most(t, limit) for t in widest_first}
+        return [found[t] for t in ts]
 
-    return event
+    return lambda a, a_prime: np.array(
+        [holds(*pair) for pair in zip(a.tolist(), a_prime.tolist())], dtype=bool
+    ).reshape(len(a), len(ts))
 
 
-def _fullrank_event(m: int) -> Event:
-    return lambda a, a_prime: (2 * m - int(generator_poly(a, a_prime).degree) == m - 1,)
+def restricted_dims(field: PrimeField, m: int, a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+    """The code dimension of each restricted pair (a[k], a'[k]), with no gcd: the
+    code is R_m (fold(a), a'), fold(a) = a mod X^m - 1, as X^m + 1 divides a,
+    so it is the sum of |C| over the cosets C where (fold(a), a') e_C != 0."""
+    p = field.p
+    blocks = np.hstack([circulant_matrix(e) for e in coset_idempotents(field, m)])
+    rows = np.vstack([(a[:, :m] + a[:, m:]) % p, a_prime])
+    nonzero = gf_matmul(rows, blocks, p).reshape(2, len(a), -1, m).any(axis=(0, 3))
+    return nonzero @ np.array([len(c) for c in cyclotomic_cosets(m, p).cosets])
+
+
+def _fullrank_event(field: PrimeField, m: int) -> Event:
+    return lambda a, a_prime: (restricted_dims(field, m, a, a_prime) == m - 1)[:, None]
 
 
 def _report(
@@ -459,7 +478,7 @@ def exact_delta_leq_probs(
     pass that builds one code per unit orbit of restricted pairs."""
     pairs = _pair_source(field, m, limit)
     ts = [weight_threshold(m, delta) for delta in deltas]
-    n, hits, zero_codes = _tally(pairs, _distance_event(ts, limit), len(ts))
+    n, hits, zero_codes = _tally(pairs, _distance_event(field, ts, limit), len(ts))
     return [
         _report(field, m, delta, n, leq, zero_codes, Fraction(leq, n), None)
         for delta, leq in zip(deltas, hits)
@@ -499,7 +518,7 @@ def mc_delta_probs(
             raise EnumerationTooLarge(
                 f"{candidates} low-weight candidates per trial exceed the limit {limit}"
             )
-    n, leq, zero_codes = _tally(pairs, _distance_event(ts, limit), len(ts))
+    n, leq, zero_codes = _tally(pairs, _distance_event(field, ts, limit), len(ts))
     exact: list[Fraction | None] = [None] * len(ts)
     if field.p ** (2 * (m - 1)) <= min(ATTACH_EXACT_PAIRS, limit):
         exact = [1 - r.exact for r in exact_delta_leq_probs(field, m, deltas, limit)]
@@ -543,19 +562,19 @@ def fullrank_census(
 ) -> Fraction:
     """Exhaustive fraction of restricted pairs whose code has dimension m - 1.
 
-    Independent of exact_fullrank_prob: this counts gcd degrees over the unit
-    orbits, whose sizes are counted, not derived from the coset sizes.
+    Independent of exact_fullrank_prob: this sums the sizes of the unit orbits,
+    counted, not derived from coset sizes, whose restricted_dims is m - 1.
     """
-    n, (hits,), _ = _tally(_pair_source(field, m, limit), _fullrank_event(m), 1)
+    n, (hits,), _ = _tally(_pair_source(field, m, limit), _fullrank_event(field, m), 1)
     return Fraction(hits, n)
 
 
 def mc_fullrank_prob(
     field: PrimeField, m: int, trials: int, seed: int
 ) -> EnsembleReport:
-    """Monte-Carlo estimate of Pr(dim = m - 1); needs only gcd degrees per trial."""
+    """Monte-Carlo estimate of Pr(dim = m - 1) from restricted_dims; builds no code."""
     pairs = _pair_source(field, m, trials=trials, seed=seed)
-    n, (hits,), zero_codes = _tally(pairs, _fullrank_event(m), 1)
+    n, (hits,), zero_codes = _tally(pairs, _fullrank_event(field, m), 1)
     return _report(field, m, None, n, hits, zero_codes, exact_fullrank_prob(m, field.p), seed)
 
 

@@ -10,12 +10,14 @@ from qc15.algebra import (
     Poly,
     PrimeField,
     RingElement,
+    coset_idempotents,
     crt_combine,
     crt_split,
     cyclotomic_cosets,
     min_factor_degree,
     poly_gcd,
 )
+from qc15.codes import circulant_matrix, gf_rank
 from qc15.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -357,6 +359,40 @@ class TestCosets:
         assert min_factor_degree(5, 3) == 4
         with pytest.raises(NoNonzeroCoset):
             min_factor_degree(1, 3)
+
+
+# every n coprime to q: q = 3 up to 13, q = 5 and 7 up to 8
+IDEMPOTENT_RINGS = [(q, n) for q, top in ((3, 13), (5, 8), (7, 8))
+                    for n in range(1, top + 1) if math.gcd(n, q) == 1]
+
+
+class TestCosetIdempotents:
+    @pytest.mark.parametrize("q, n", IDEMPOTENT_RINGS)
+    def test_orthogonal_idempotents_summing_to_one(self, q, n):
+        field = PrimeField(q)
+        es = coset_idempotents(field, n)
+        assert len(es) == len(cyclotomic_cosets(n, q).cosets)
+        total = RingElement.zero(field, n)
+        for i, e in enumerate(es):
+            assert not e.is_zero()
+            assert e * e == e
+            for f in es[i + 1:]:
+                assert (e * f).is_zero()
+            total = total + e
+        assert total == RingElement.one(field, n)
+
+    @pytest.mark.parametrize("q, n", IDEMPOTENT_RINGS)
+    def test_block_dimension_is_coset_size(self, q, n):
+        field = PrimeField(q)
+        cosets = cyclotomic_cosets(n, q).cosets
+        es = coset_idempotents(field, n)
+        assert [gf_rank(circulant_matrix(e), q) for e in es] == [len(c) for c in cosets]
+        # the coset {0} comes first, and its idempotent is (1 + X + ... + X^(n-1)) / n
+        assert cosets[0] == (0,)
+        assert es[0] == RingElement(field, n, (pow(n, -1, q),) * n)
+
+    def test_cached_per_ring(self):
+        assert coset_idempotents(F3, 13) is coset_idempotents(PrimeField(3), 13)
 
 
 def test_poly_gcd_three_way():

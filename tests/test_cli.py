@@ -384,6 +384,13 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error: ") and "LO..HI" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scan", ("3..3", "6..6", "9..9"))
+    def test_scan_without_coprime_m_exits_2(self, capsys, scan):
+        # every m >= 2 in the range is a multiple of q
+        rc, out, err = run_cli(capsys, "bounds", "--q", "3", f"--scan-m={scan}")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "coprime" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("delta", ("-1", "1/0", "1e400"))
     def test_bad_delta_exits_2(self, capsys, delta):
         rc, out, err = run_cli(capsys, "bounds", "--q", "3", "--m", "5", "--delta", delta)

@@ -8,10 +8,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qc15.algebra import Poly, PrimeField, RingElement, cyclotomic_cosets, min_factor_degree
+from qc15.algebra import (
+    Poly,
+    PrimeField,
+    RingElement,
+    coset_idempotents,
+    cyclotomic_cosets,
+    min_factor_degree,
+)
 from qc15.bounds import ideal_expectation_bound
 from qc15.codes import construct_code, generator_poly
 from qc15.ensemble import (
+    TRIAL_BLOCK,
+    _sample_block,
     _unit_orbits,
     count_ideals_by_dim,
     exact_delta_leq_prob,
@@ -21,8 +30,10 @@ from qc15.ensemble import (
     ideal_dim,
     ideal_elements,
     mc_delta_prob,
+    mc_delta_probs,
     mc_fullrank_prob,
     restricted_elements,
+    restricted_dims,
     restricted_generators,
     sample_pair,
     sphere_count_check,
@@ -384,6 +395,70 @@ class TestFullRank:
     def test_empty_trials(self):
         with pytest.raises(EmptyTrialSet):
             mc_fullrank_prob(F3, 2, trials=0, seed=1)
+
+
+# q = 3 at the co-indexes of the paper's examples and sweeps; q = 5 and 7 at
+# small m, where many cosets are small and lower dimensions are common
+DIM_SPACES = (
+    [(3, m) for m in (1, 2, 4, 5, 7, 11, 13, 31)]
+    + [(5, m) for m in (2, 3, 4, 6, 8)]
+    + [(7, m) for m in (2, 3, 4, 5, 6, 8)]
+)
+
+
+class TestRestrictedDims:
+    @pytest.mark.parametrize("q, m", DIM_SPACES)
+    def test_equals_dimension_from_generator_poly(self, q, m):
+        field = PrimeField(q)
+        pairs = [tuple(sample_pair(field, m, trial_rng(77, i))) for i in range(60)]
+        zero_a, zero_a_prime = RingElement.zero(field, 2 * m), RingElement.zero(field, m)
+        # keep only the block of one coset, or kill it, in a few pairs
+        one = RingElement.one(field, m)
+        for e in coset_idempotents(field, m):
+            for u in (e, one - e):
+                lift = RingElement.from_coeffs(field, 2 * m, u.coeffs)
+                pairs += [(a * lift, a_prime * u) for a, a_prime in pairs[:3]]
+        pairs += [(zero_a, zero_a_prime)]
+        pairs += [(a, zero_a_prime) for a, _ in pairs[:15]]
+        pairs += [(zero_a, a_prime) for _, a_prime in pairs[:15]]
+        a = np.array([a.coeffs for a, _ in pairs], dtype=np.int64)
+        a_prime = np.array([a_prime.coeffs for _, a_prime in pairs], dtype=np.int64)
+        expected = [2 * m - int(generator_poly(*pair).degree) for pair in pairs]
+        assert restricted_dims(field, m, a, a_prime).tolist() == expected
+
+
+class TestTrialBlocks:
+    def test_rows_are_sample_pair_draws(self):
+        trials = TRIAL_BLOCK + 1
+        for start in (0, TRIAL_BLOCK):
+            a, a_prime, sizes = _sample_block(F3, 5, 19, start, trials)
+            assert len(a) == len(a_prime) == len(sizes) == min(TRIAL_BLOCK, trials - start)
+            assert sizes.tolist() == [1] * len(sizes)
+            for k, row in enumerate(zip(a.tolist(), a_prime.tolist())):
+                pair = sample_pair(F3, 5, trial_rng(19, start + k))
+                assert tuple(map(tuple, row)) == (pair.a.coeffs, pair.a_prime.coeffs)
+
+    def test_hits_match_a_loop_over_sample_pair(self):
+        m, seed, trials = 4, 19, TRIAL_BLOCK + 1
+        pairs = [sample_pair(F3, m, trial_rng(seed, i)) for i in range(trials)]
+        fullrank = sum(2 * m - generator_poly(*pair).degree == m - 1 for pair in pairs)
+        rep = mc_fullrank_prob(F3, m, trials, seed)
+        assert (rep.trials, rep.hits) == (trials, fullrank)
+        codes = [construct_code(*pair) for pair in pairs]
+        zero_codes = sum(code.dim == 0 for code in codes)
+        assert rep.zero_code_fraction == zero_codes / trials
+        deltas = (Fraction(1, 4), Fraction(1, 2))
+        for rep, delta in zip(mc_delta_probs(F3, m, deltas, trials, seed), deltas):
+            t = weight_threshold(m, delta)
+            assert (rep.trials, rep.zero_code_fraction) == (trials, zero_codes / trials)
+            assert rep.hits == sum(not code.has_word_of_weight_at_most(t) for code in codes)
+
+    def test_m1_draws_only_the_zero_code(self):
+        trials = TRIAL_BLOCK + 1
+        rep = mc_fullrank_prob(F3, 1, trials, 3)
+        assert (rep.hits, rep.zero_code_fraction) == (trials, 1.0)
+        (rep,) = mc_delta_probs(F3, 1, ["0.5"], trials, 3)
+        assert (rep.hits, rep.zero_code_fraction) == (trials, 1.0)
 
 
 class TestIdealCounts:

@@ -46,7 +46,10 @@ def _field(q: int) -> PrimeField:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("QC15_SEED", "0"))
+    try:
+        return _nonnegative_int(os.environ.get("QC15_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"QC15_SEED {exc}")
 
 
 def _check_m(m: int) -> int:
@@ -88,15 +91,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _max_enum(text: str) -> int:
-    """The --max-enum value: a nonnegative integer."""
+def _nonnegative_int(text: str) -> int:
+    """The value of --max-enum, --seed or QC15_SEED."""
     try:
-        limit = int(text)
+        value = int(text)
     except ValueError:
-        limit = -1
-    if limit < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return limit
+    return value
 
 
 def _ideal_bound(m: int, d: int, ell: int) -> float | None:
@@ -139,6 +142,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if not args.fullrank and not args.delta:
         raise ValidationError("sweep needs --delta unless --fullrank is given")
+    if args.fullrank and args.delta is not None:
+        raise ValidationError("--fullrank takes no --delta")
     deltas = [] if args.fullrank else [_parse_delta(d) for d in args.delta.split(",")]
 
     reports: list[EnsembleReport] = []
@@ -228,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--q", type=int, required=True, help="odd prime field size")
-        p.add_argument("--max-enum", type=_max_enum, default=DEFAULT_ENUM_LIMIT,
+        p.add_argument("--max-enum", type=_nonnegative_int, default=DEFAULT_ENUM_LIMIT,
                        help="enumeration ceiling, at least 0 (default 2^24)")
 
     p_con = sub.add_parser("construct", help="build a code from (a, a') and print JSON")
@@ -255,12 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--delta", type=str, default=None,
                       help="comma-separated relative-distance thresholds")
     p_sw.add_argument("--trials", type=int, default=1000)
-    p_sw.add_argument("--seed", type=int, default=None,
-                      help="default from QC15_SEED, else 0")
+    p_sw.add_argument("--seed", type=_nonnegative_int, default=None,
+                      help="at least 0; default from QC15_SEED, else 0")
     p_sw.add_argument("--exact", action="store_true",
                       help="full pair-space sweep instead of sampling")
     p_sw.add_argument("--fullrank", action="store_true",
-                      help="estimate Pr(dim = m-1) instead of the distance event")
+                      help="estimate Pr(dim = m-1) instead of the distance event; "
+                      "takes no --delta")
 
     p_bd = sub.add_parser("bounds", help="analytic bound table as JSON")
     p_bd.add_argument("--q", type=int, required=True)

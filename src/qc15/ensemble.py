@@ -29,6 +29,11 @@ u~ a depends on u alone). On a nonzero cyclotomic coset of size d the pair's
 component lies in GF(q^d)^2 and the units act on it by the scalars of
 GF(q^d)^*, which leaves q^d + 2 orbits: zero and the q^d + 1 lines. The
 restricted pair space therefore holds prod(q^d + 2) orbits, one per code.
+With e = e_C the primitive idempotent of C (coset_idempotents), the orbits'
+representatives (fold(a) e, a' e) and sizes are: (0, 0), size 1; (0, e),
+size q^d - 1; and (e, y) for each of the q^d elements y of e R_m, size
+q^d - 1 each. A representative pair sums one choice per nonzero coset and
+its orbit's size is the product of the choices' sizes.
 
 Reproducibility
 ---------------
@@ -42,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -290,66 +295,6 @@ Pairs = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # a, a', pairs per 
 Event = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _index_map(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The permutation perm with images[k] == rows[perm[k]], for images a
-    reordering of rows."""
-    perm = np.empty(len(rows), dtype=np.int64)
-    perm[np.lexsort(images.T)] = np.lexsort(rows.T)
-    return perm
-
-
-def _join(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Join the class of x with the class of perm[x], for every x.
-
-    labels[x] is the least index of the class of x. Each round hooks both
-    roots of every edge x -> perm[x] that still crosses two classes onto the
-    lesser one, then follows pointers until every label is a root again.
-    """
-    while not np.array_equal(labels, cross := labels[perm]):
-        low = np.minimum(labels, cross)
-        roots = labels.copy()
-        np.minimum.at(roots, labels, low)
-        np.minimum.at(roots, cross, low)
-        while not np.array_equal(roots, hop := roots[roots]):
-            roots = hop
-        labels = roots
-    return labels
-
-
-def _unit_orbits(
-    field: PrimeField, m: int, left: list[RingElement], right: list[RingElement]
-) -> np.ndarray:
-    """The orbits of the unit group of R_m on the pairs (left[i], right[j]),
-    indexed i * len(right) + j: entry x is the least index in the orbit of x.
-
-    The units of R_m, in increasing radix order of their coefficients, act
-    one by one as permutations of the pair indices, until the orbit count
-    reaches prod(q^d + 2) over the nonzero cyclotomic coset sizes d.
-    """
-    p = field.p
-    target = prod(p**d + 2 for d in cyclotomic_cosets(m, p).nonzero_sizes())
-    a_rows = np.array([a.coeffs for a in left], dtype=np.int64)
-    a_prime_rows = np.array([a.coeffs for a in right], dtype=np.int64)
-    labels = np.arange(len(left) * len(right))
-    count = labels.size
-    x_m_minus_one = Poly.x_pow_minus_one(field, m)
-    for k in range(2, p**m):  # k = 1 is the unit 1, which moves nothing
-        if count <= target:
-            break
-        u = tuple(k // p**j % p for j in range(m))
-        if Poly(field, u).gcd(x_m_minus_one).degree != 0:
-            continue
-        times_lift = circulant_matrix(RingElement(field, 2 * m, u + (0,) * m))
-        times_u = circulant_matrix(RingElement(field, m, u))
-        sigma = _index_map(a_rows, gf_matmul(a_rows, times_lift, p))
-        tau = _index_map(a_prime_rows, gf_matmul(a_prime_rows, times_u, p))
-        labels = _join(labels, (sigma[:, None] * len(right) + tau[None, :]).ravel())
-        count = int(np.count_nonzero(labels == np.arange(labels.size)))
-    if count != target:
-        raise AssertionError(f"{count} unit orbits, expected prod(q^d + 2) = {target}")
-    return labels
-
-
 def _sample_block(field: PrimeField, m: int, seed: int, start: int, trials: int) -> tuple:
     """Trials start to min(start + TRIAL_BLOCK, trials) - 1, stacked: row k is the
     pair sample_pair(field, m, trial_rng(seed, start + k)) returns, same draws."""
@@ -371,8 +316,10 @@ def _pair_source(
     """The stacked pairs (a, a') an experiment runs over, each with the number
     of restricted pairs it stands for; checked before the first stack.
 
-    With trials None: one stack holding the least pair, row-major over
-    restricted_elements, of each unit orbit, standing for its orbit.
+    With trials None: one stack holding one pair of each unit orbit, standing
+    for its orbit, built coset by coset as the module docstring describes:
+    the choices on the cosets are summed over their Cartesian product and
+    their sizes multiplied.
     Otherwise: sample_pair(field, m, trial_rng(seed, i)) for i < trials, each
     standing for itself, in stacks of TRIAL_BLOCK trials.
     """
@@ -382,14 +329,24 @@ def _pair_source(
         raise NotCoprime(f"m={m} must be coprime to p={field.p}")
     if trials is not None:
         return (_sample_block(field, m, seed, i, trials) for i in range(0, trials, TRIAL_BLOCK))
-    pairs = field.p ** (2 * (m - 1))
+    p, pairs = field.p, field.p ** (2 * (m - 1))
     if pairs > limit:
         raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
-    left, right = restricted_elements(field, m, limit)
-    sizes = np.bincount(_unit_orbits(field, m, left, right))
-    reps = np.flatnonzero(sizes)
-    stack = lambda side, idx: np.array([side[i].coeffs for i in idx], dtype=np.int64)
-    return iter([(stack(left, reps // len(right)), stack(right, reps % len(right)), sizes[reps])])
+    x = a_prime = np.zeros((1, m), dtype=np.int64)
+    sizes = np.ones(1, dtype=np.int64)
+    for coset, e in zip(cyclotomic_cosets(m, p).cosets, coset_idempotents(field, m)):
+        if coset == (0,):
+            continue
+        ys = ideal_elements(e)  # e R_m, the q^d elements y of the lines (e, y)
+        zero, e_row = np.zeros((1, m), dtype=np.int64), np.array([e.coeffs])
+        on_x = np.vstack([zero, zero, np.repeat(e_row, len(ys), axis=0)])
+        on_a_prime = np.vstack([zero, e_row, ys])
+        factor = np.array([1] + [p ** len(coset) - 1] * (len(ys) + 1))
+        x = ((x[:, None] + on_x[None]) % p).reshape(-1, m)
+        a_prime = ((a_prime[:, None] + on_a_prime[None]) % p).reshape(-1, m)
+        sizes = (sizes[:, None] * factor[None]).ravel()
+    half = x * field.half % p  # a = crt_combine(x, 0), so fold(a) = x
+    return iter([(np.hstack([half, half]), a_prime, sizes)])
 
 
 def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
@@ -562,8 +519,10 @@ def fullrank_census(
 ) -> Fraction:
     """Exhaustive fraction of restricted pairs whose code has dimension m - 1.
 
-    Independent of exact_fullrank_prob: this sums the sizes of the unit orbits,
-    counted, not derived from coset sizes, whose restricted_dims is m - 1.
+    Sums the sizes of the unit orbits whose restricted_dims is m - 1. Those
+    sizes come from the coset sizes, as exact_fullrank_prob does, so the
+    independent check of both is pair_sweep in the tests, which builds one
+    code per restricted pair.
     """
     n, (hits,), _ = _tally(_pair_source(field, m, limit), _fullrank_event(field, m), 1)
     return Fraction(hits, n)

@@ -274,12 +274,21 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("option", (("--trials", "abc"), ("--seed", "x"), ("--bogus",),
-                                        ("--exact", "--max-enum", "-1")))
+                                        ("--exact", "--max-enum", "-1"), ("--fullrank",),
+                                        ("--seed", "-1")))
     def test_bad_option_exits_2(self, capsys, option):
         rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.1", *option)
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ("abc", "-1"))
+    def test_bad_seed_environment_exits_2(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("QC15_SEED", seed)
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: QC15_SEED ") and err.count("\n") == 1
 
     def test_help_exits_0(self, capsys):
         rc, out, err = run_cli(capsys, "sweep", "--help")

@@ -1,6 +1,7 @@
 """Restricted-pair sampling and exact / Monte-Carlo probability tests."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -20,10 +21,11 @@ from qc15.bounds import ideal_expectation_bound
 from qc15.codes import construct_code, generator_poly
 from qc15.ensemble import (
     TRIAL_BLOCK,
+    _pair_source,
     _sample_block,
-    _unit_orbits,
     count_ideals_by_dim,
     exact_delta_leq_prob,
+    exact_delta_leq_probs,
     exact_fullrank_prob,
     exact_low_weight_fraction,
     fullrank_census,
@@ -281,23 +283,46 @@ class TestUnitOrbits:
 
     @pytest.mark.parametrize(
         "q, m, orbits",
-        ((3, 2, 5), (3, 4, 55), (3, 5, 83), (3, 7, 731), (5, 3, 27), (7, 3, 81)),
+        (
+            (3, 2, 5), (3, 4, 55), (3, 5, 83), (3, 7, 731), (5, 3, 27), (7, 3, 81),
+            (3, 8, 6655), (5, 6, 5103),
+        ),
     )
     def test_orbit_count_is_product_over_cosets(self, q, m, orbits):
         field = PrimeField(q)
-        labels = _unit_orbits(field, m, *restricted_elements(field, m))
-        assert labels.size == q ** (2 * (m - 1))
-        assert np.unique(labels).size == orbits
+        a, a_prime, sizes = next(_pair_source(field, m))
+        assert orbits == math.prod(q**d + 2 for d in cyclotomic_cosets(m, q).nonzero_sizes())
+        assert len(a) == len(a_prime) == len(sizes) == orbits
+        assert sizes.sum() == q ** (2 * (m - 1))
+        # every representative is a restricted pair
+        left, right = (set(map(tuple, ideal_elements(g))) for g in restricted_generators(field, m))
+        assert set(map(tuple, a.tolist())) <= left
+        assert set(map(tuple, a_prime.tolist())) <= right
 
-    def test_each_orbit_spans_one_code_m4(self):
-        left, right = restricted_elements(F3, 4)
-        labels = _unit_orbits(F3, 4, left, right)
-        keys = []
-        for a, a_prime in product(left, right):
+    @pytest.mark.parametrize("q, m", ((3, 4), (5, 3), (7, 3)))
+    def test_each_orbit_spans_one_code(self, q, m):
+        # {code: pairs spanning it} over every restricted pair equals
+        # {representative's code: its orbit's size}
+        field = PrimeField(q)
+
+        def key(a, a_prime):
             rref = construct_code(a, a_prime).rref
-            keys.append((rref.shape, rref.tobytes()))
-        assert all(keys[x] == keys[label] for x, label in enumerate(labels))
-        assert len(set(keys)) == np.unique(labels).size == 55
+            return rref.shape, rref.tobytes()
+
+        census = Counter(key(a, a_prime) for a, a_prime in product(*restricted_elements(field, m)))
+        a, a_prime, sizes = next(_pair_source(field, m))
+        orbits = {
+            key(RingElement(field, 2 * m, tuple(x)), RingElement(field, m, tuple(y))): int(size)
+            for x, y, size in zip(a.tolist(), a_prime.tolist(), sizes)
+        }
+        assert len(orbits) == len(sizes)
+        assert orbits == dict(census)
+
+    def test_delta_hits_q3_m8(self):
+        reports = exact_delta_leq_probs(F3, 8, ["0.106", "0.2", "0.3"])
+        assert [(r.trials, r.hits) for r in reports] == [
+            (4782969, 46656), (4782969, 556488), (4782969, 2229848)
+        ]
 
 
 class TestMcDeltaProb:
@@ -373,6 +398,10 @@ class TestFullRank:
 
     def test_census_matches_formula_q5(self):
         assert fullrank_census(PrimeField(5), 2) == exact_fullrank_prob(2, 5)
+
+    @pytest.mark.parametrize("q, m", ((3, 8), (5, 6)))
+    def test_census_matches_formula_large(self, q, m):
+        assert fullrank_census(PrimeField(q), m) == exact_fullrank_prob(m, q)
 
     def test_mc_m2(self):
         rep = mc_fullrank_prob(F3, 2, trials=10_000, seed=21)

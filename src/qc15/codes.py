@@ -232,9 +232,8 @@ class Qc15Code:
         p = self.field.p
         if self.dim == 0:
             return self.zero_word()
-        vec = np.array([c % p for c in y], dtype=np.int64)
-        out = (vec @ self.gen_matrix) % p
-        return Word(self.m, tuple(int(c) for c in out))
+        out = gf_matmul(np.array([[c % p for c in y]], dtype=np.int64), self.gen_matrix, p)
+        return Word(self.m, tuple(int(c) for c in out[0]))
 
     def in_kernel(self, f: RingElement) -> bool:
         """True when f annihilates the pair, i.e. h divides the canonical lift of f."""

@@ -1,9 +1,10 @@
 """The restricted random-code ensemble and its exact / Monte-Carlo experiments.
 
 The probability space is the product of two restricted ideals sampled
-uniformly: multiples of (X^m + 1)(X - 1) inside R_{2m}, paired with multiples
-of (X - 1) inside R_m. Both factors have dimension m - 1, so the space holds
-p^{2(m-1)} equally likely pairs.
+uniformly: multiples a of (X^m + 1)(X - 1) inside R_{2m}, paired with
+multiples a' of (X - 1) inside R_m. As a = (X^m + 1) c = c || c for one c in
+J = (X - 1) R_m, a pair is two uniform elements c, a' of J (dimension m - 1
+each), p^{2(m-1)} equally likely pairs; the experiments carry it as (c, a').
 
 Event conventions
 -----------------
@@ -15,7 +16,7 @@ because the relative distance of the zero code is not a defined quantity.
 
 Experiments
 -----------
-Every experiment runs one event over one pair source of stacks: rows of a
+Every experiment runs one event over one pair source of stacks: rows of c
 and of a', each row standing for its unit orbit or, in stacks of TRIAL_BLOCK
 seeded samples, for itself. An event answers a stack with one bool column
 per report row: the distance event at each threshold, which builds and
@@ -23,14 +24,13 @@ scans each code once for all of them, or dim = m - 1 (restricted_dims, no
 code). One tally weights the answers by the sizes and counts zero codes;
 one builder turns the counts into an EnsembleReport per row.
 
-The orbits: (a, a') and (u~ a, u a') span the same code for every unit u of
-R_m, where u~ is any lift of u to R_{2m} (a is a multiple of X^m + 1, so
-u~ a depends on u alone). On a nonzero cyclotomic coset of size d the pair's
-component lies in GF(q^d)^2 and the units act on it by the scalars of
+The orbits: (c, a') and (u c, u a') span the same code for every unit u of
+R_m. On a nonzero cyclotomic coset of size d the pair's component (c e_C,
+a' e_C) lies in GF(q^d)^2 and the units act on it by the scalars of
 GF(q^d)^*, which leaves q^d + 2 orbits: zero and the q^d + 1 lines. The
 restricted pair space therefore holds prod(q^d + 2) orbits, one per code.
 With e = e_C the primitive idempotent of C (coset_idempotents), the orbits'
-representatives (fold(a) e, a' e) and sizes are: (0, 0), size 1; (0, e),
+representatives (c e, a' e) and sizes are: (0, 0), size 1; (0, e),
 size q^d - 1; and (e, y) for each of the q^d elements y of e R_m, size
 q^d - 1 each. A representative pair sums one choice per nonzero coset and
 its orbit's size is the product of the choices' sizes.
@@ -90,7 +90,7 @@ def weight_threshold(m: int, delta: DeltaLike) -> int:
 def restricted_generators(field: PrimeField, m: int) -> tuple[RingElement, RingElement]:
     """Generators of the two restricted ideals: (X^m+1)(X-1) in R_{2m} and X-1 in R_m.
 
-    Cached: every sampled trial multiplies by the same pair."""
+    Cached for sample_pair and restricted_elements, the references for (c, a') stacks."""
     left = Poly.x_pow_plus_one(field, m) * Poly(field, (-1, 1))
     return (
         RingElement.from_poly(left, 2 * m),
@@ -290,20 +290,22 @@ ATTACH_EXACT_PAIRS = 1000
 
 TRIAL_BLOCK = 64  # Monte-Carlo trials drawn and answered at a time
 
-Pairs = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # a, a', pairs per row
+Pairs = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # c, a' with a = c || c, pairs per row
 # One column per report row: whether the row's event holds for each pair.
 Event = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _sample_block(field: PrimeField, m: int, seed: int, start: int, trials: int) -> tuple:
-    """Trials start to min(start + TRIAL_BLOCK, trials) - 1, stacked: row k is the
-    pair sample_pair(field, m, trial_rng(seed, start + k)) returns, same draws."""
+    """Trials start to min(start + TRIAL_BLOCK, trials) - 1 as (c, a'): row k is
+    sample_pair(field, m, trial_rng(seed, start + k)) from the same draws f, f2,
+    with a = c || c. So c = fold(f) (X - 1) and a' = f2 (X - 1), each a shift
+    and subtract in R_m, as f (X^m+1)(X-1) = (X^m+1)(fold(f) (X-1) mod X^m-1)."""
     p = field.p
     rngs = [trial_rng(seed, i) for i in range(start, min(start + TRIAL_BLOCK, trials))]
     f = np.array([rng.integers(0, p, size=2 * m) for rng in rngs])
     f2 = np.array([rng.integers(0, p, size=m) for rng in rngs])
-    gen2m, genm = (circulant_matrix(g) for g in restricted_generators(field, m))
-    return gf_matmul(f, gen2m, p), gf_matmul(f2, genm, p), np.ones(len(rngs), dtype=np.int64)
+    c, a_prime = ((np.roll(g, 1, axis=1) - g) % p for g in (f[:, :m] + f[:, m:], f2))
+    return c, a_prime, np.ones(len(rngs), dtype=np.int64)
 
 
 def _pair_source(
@@ -313,15 +315,15 @@ def _pair_source(
     trials: int | None = None,
     seed: int = 0,
 ) -> Pairs:
-    """The stacked pairs (a, a') an experiment runs over, each with the number
+    """The stacked pairs (c, a') an experiment runs over, each with the number
     of restricted pairs it stands for; checked before the first stack.
 
     With trials None: one stack holding one pair of each unit orbit, standing
     for its orbit, built coset by coset as the module docstring describes:
     the choices on the cosets are summed over their Cartesian product and
     their sizes multiplied.
-    Otherwise: sample_pair(field, m, trial_rng(seed, i)) for i < trials, each
-    standing for itself, in stacks of TRIAL_BLOCK trials.
+    Otherwise: the pairs sample_pair(field, m, trial_rng(seed, i)) draws for
+    i < trials, each standing for itself, in stacks of TRIAL_BLOCK trials.
     """
     if trials is not None and trials < 1:
         raise EmptyTrialSet("at least one trial is required")
@@ -332,21 +334,20 @@ def _pair_source(
     p, pairs = field.p, field.p ** (2 * (m - 1))
     if pairs > limit:
         raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
-    x = a_prime = np.zeros((1, m), dtype=np.int64)
+    c = a_prime = np.zeros((1, m), dtype=np.int64)
     sizes = np.ones(1, dtype=np.int64)
     for coset, e in zip(cyclotomic_cosets(m, p).cosets, coset_idempotents(field, m)):
         if coset == (0,):
             continue
         ys = ideal_elements(e)  # e R_m, the q^d elements y of the lines (e, y)
         zero, e_row = np.zeros((1, m), dtype=np.int64), np.array([e.coeffs])
-        on_x = np.vstack([zero, zero, np.repeat(e_row, len(ys), axis=0)])
+        on_c = np.vstack([zero, zero, np.repeat(e_row, len(ys), axis=0)])
         on_a_prime = np.vstack([zero, e_row, ys])
         factor = np.array([1] + [p ** len(coset) - 1] * (len(ys) + 1))
-        x = ((x[:, None] + on_x[None]) % p).reshape(-1, m)
+        c = ((c[:, None] + on_c[None]) % p).reshape(-1, m)
         a_prime = ((a_prime[:, None] + on_a_prime[None]) % p).reshape(-1, m)
         sizes = (sizes[:, None] * factor[None]).ravel()
-    half = x * field.half % p  # a = crt_combine(x, 0), so fold(a) = x
-    return iter([(np.hstack([half, half]), a_prime, sizes)])
+    return iter([(c, a_prime, sizes)])
 
 
 def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
@@ -355,42 +356,42 @@ def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
     zero code."""
     n = zero_codes = 0
     hits = [0] * rows
-    for a, a_prime, sizes in pairs:
+    for c, a_prime, sizes in pairs:
         n += int(sizes.sum())
-        hits = [h + int(k) for h, k in zip(hits, sizes @ event(a, a_prime))]
-        zero_codes += int(sizes[~(a.any(axis=1) | a_prime.any(axis=1))].sum())
+        hits = [h + int(k) for h, k in zip(hits, sizes @ event(c, a_prime))]
+        zero_codes += int(sizes[~(c.any(axis=1) | a_prime.any(axis=1))].sum())
     return n, hits, zero_codes
 
 
 def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     """Per threshold t in ts: some nonzero word has weight <= t; never true
-    of the zero code. Each pair's code is built once and asked the largest t
-    first, so one scan answers every row."""
+    of the zero code. Each pair's code is built once, from a = c || c, and
+    asked the largest t first, so one scan answers every row."""
     widest_first = sorted(set(ts), reverse=True)
 
-    def holds(a: list[int], a_prime: list[int]) -> list[bool]:
-        code = construct_code(*(RingElement(field, len(x), tuple(x)) for x in (a, a_prime)))
+    def holds(c: list[int], a_prime: list[int]) -> list[bool]:
+        code = construct_code(*(RingElement(field, len(x), tuple(x)) for x in (c + c, a_prime)))
         found = {t: code.has_word_of_weight_at_most(t, limit) for t in widest_first}
         return [found[t] for t in ts]
 
-    return lambda a, a_prime: np.array(
-        [holds(*pair) for pair in zip(a.tolist(), a_prime.tolist())], dtype=bool
-    ).reshape(len(a), len(ts))
+    return lambda c, a_prime: np.array(
+        [holds(*pair) for pair in zip(c.tolist(), a_prime.tolist())], dtype=bool
+    ).reshape(len(c), len(ts))
 
 
-def restricted_dims(field: PrimeField, m: int, a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """The code dimension of each restricted pair (a[k], a'[k]), with no gcd: the
-    code is R_m (fold(a), a'), fold(a) = a mod X^m - 1, as X^m + 1 divides a,
-    so it is the sum of |C| over the cosets C where (fold(a), a') e_C != 0."""
+def restricted_dims(field: PrimeField, m: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+    """The code dimension of each restricted pair (c[k] || c[k], a'[k]), with no
+    gcd: the code is {(w, w, v) : (w, v) in R_m (c, a')}, so its dimension is
+    the sum of |C| over the cosets C where (c, a') e_C != 0."""
     p = field.p
     blocks = np.hstack([circulant_matrix(e) for e in coset_idempotents(field, m)])
-    rows = np.vstack([(a[:, :m] + a[:, m:]) % p, a_prime])
-    nonzero = gf_matmul(rows, blocks, p).reshape(2, len(a), -1, m).any(axis=(0, 3))
-    return nonzero @ np.array([len(c) for c in cyclotomic_cosets(m, p).cosets])
+    projected = gf_matmul(np.vstack([c, a_prime]), blocks, p)
+    nonzero = projected.reshape(2, len(c), -1, m).any(axis=(0, 3))
+    return nonzero @ np.array([len(coset) for coset in cyclotomic_cosets(m, p).cosets])
 
 
 def _fullrank_event(field: PrimeField, m: int) -> Event:
-    return lambda a, a_prime: (restricted_dims(field, m, a, a_prime) == m - 1)[:, None]
+    return lambda c, a_prime: (restricted_dims(field, m, c, a_prime) == m - 1)[:, None]
 
 
 def _report(
@@ -567,8 +568,6 @@ def sphere_count_check(
         raise DomainError(f"weight bound must lie in [0, {b.n}], got {w}")
     q = b.field.p
     d = ideal_dim(b)
-    if q**d > limit:
-        raise EnumerationTooLarge(f"ideal has {q ** d} elements, limit is {limit}")
     rows = ideal_elements(b, limit)
     exact = int((np.count_nonzero(rows, axis=1) <= w).sum())
     bound = float(q ** (d * qary_entropy(q, w / b.n)))

@@ -282,6 +282,17 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", (("--delta", "0.1", "--trials", "5"),
+                                      ("--delta", "0.1", "--exact"),
+                                      ("--fullrank", "--trials", "5"),
+                                      ("--fullrank", "--exact")))
+    @pytest.mark.parametrize("m", ("3", "2,3"))
+    def test_m_not_coprime_to_q_exits_2(self, capsys, m, mode):
+        # no partial CSV either: m = 2 alone would print a row
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", m, *mode)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "coprime" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("seed", ("abc", "-1"))
     def test_bad_seed_environment_exits_2(self, capsys, monkeypatch, seed):
         monkeypatch.setenv("QC15_SEED", seed)

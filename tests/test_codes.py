@@ -19,6 +19,7 @@ from qc15.codes import (
     circulant_matrix,
     construct_code,
     generator_poly,
+    gf_matmul,
     gf_rank,
     gf_rref,
     leading_independent_rows,
@@ -147,6 +148,21 @@ class TestCheckPoly:
             code = construct_code(a, ap)
             assert code.g * code.h == Poly.x_pow_minus_one(F3, 2 * m)
             assert code.dim == 2 * m - code.g.degree
+
+
+class TestGfMatmul:
+    # p = 1009 takes the int64 product, p = 2^32 + 15 the object-int one
+    @pytest.mark.parametrize("p", (1009, 4294967311))
+    @pytest.mark.parametrize("inner", (1, 7))
+    def test_matches_python_ints(self, p, inner):
+        rng = np.random.default_rng(inner)
+        a = rng.integers(0, p, size=(5, inner))
+        b = rng.integers(0, p, size=(inner, 4))
+        a[0], b[:, 0] = p - 1, p - 1  # the largest products
+        expected = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
+                    for row in a.tolist()]
+        out = gf_matmul(a, b, p)
+        assert out.dtype == np.int64 and out.tolist() == expected
 
 
 class TestCirculants:
@@ -326,6 +342,17 @@ class TestEncode:
         assert code.encode_message([0, 0]).to_string() == "000000"
         assert code.encode_message([1, 1]).to_string() == "000022"
         assert code.encode_message([2, 0]).to_string() == "121222"
+
+    def test_encode_message_past_int64(self):
+        # (p - 1)^2 > 2^63: the product must not wrap
+        p = 4294967311
+        field = PrimeField(p)
+        code = construct_code(RingElement.from_text(field, 4, f"{p - 1},{p - 2},{p - 1},{p - 2}"),
+                              RingElement.from_text(field, 2, f"{p - 1},1"))
+        assert code.dim == 2
+        word = code.encode_message([p - 1, p - 1])
+        assert word == code.encode(RingElement(field, 4, (p - 1, p - 1, 0, 0)))
+        assert word.coords == (3, 3, 3, 3, 0, 0)
 
     def test_encode_message_length_check(self):
         with pytest.raises(DimensionMismatch):

@@ -42,7 +42,7 @@ from qc15.ensemble import (
     trial_rng,
     weight_threshold,
 )
-from qc15.errors import DomainError, EmptyTrialSet, EnumerationTooLarge
+from qc15.errors import DomainError, EmptyTrialSet, EnumerationTooLarge, NotCoprime
 
 F3 = PrimeField(3)
 
@@ -168,6 +168,12 @@ class TestIdealDim:
             assert len(span) == 3 ** ideal_dim(b)
             assert {tuple(int(c) for c in row) for row in ideal_elements(b)} == span
 
+    def test_elements_limit(self):
+        b = j_plus_generator(4)  # 27 elements
+        assert len(ideal_elements(b, limit=27)) == 27
+        with pytest.raises(EnumerationTooLarge, match="ideal has 27 elements, limit is 26"):
+            ideal_elements(b, limit=26)
+
 
 class TestExactLowWeightFraction:
     def test_zero_generator(self):
@@ -213,6 +219,14 @@ class TestExactLowWeightFraction:
                     frac = exact_low_weight_fraction(b, delta)
                     bound = ideal_expectation_bound(ideal_dim(b), m, delta, 3)
                     assert float(frac) <= bound + 1e-12
+
+    def test_limit_counts_the_product(self):
+        # each ideal has 27 elements and fits; their product has 729
+        b = j_plus_generator(4)
+        assert 3 ** ideal_dim(b) == 3 ** ideal_dim(b.fold_to(4)) == 27
+        assert exact_low_weight_fraction(b, "0.5", limit=729) > 0
+        with pytest.raises(EnumerationTooLarge, match="729 exceeds the limit 728"):
+            exact_low_weight_fraction(b, "0.5", limit=728)
 
     def test_rejects_unrestricted_generator(self):
         with pytest.raises(ValueError):
@@ -290,13 +304,13 @@ class TestUnitOrbits:
     )
     def test_orbit_count_is_product_over_cosets(self, q, m, orbits):
         field = PrimeField(q)
-        a, a_prime, sizes = next(_pair_source(field, m))
+        c, a_prime, sizes = next(_pair_source(field, m))
         assert orbits == math.prod(q**d + 2 for d in cyclotomic_cosets(m, q).nonzero_sizes())
-        assert len(a) == len(a_prime) == len(sizes) == orbits
+        assert c.shape == a_prime.shape == (orbits, m) and len(sizes) == orbits
         assert sizes.sum() == q ** (2 * (m - 1))
-        # every representative is a restricted pair
+        # every representative (c || c, a') is a restricted pair
         left, right = (set(map(tuple, ideal_elements(g))) for g in restricted_generators(field, m))
-        assert set(map(tuple, a.tolist())) <= left
+        assert set(map(tuple, np.hstack([c, c]).tolist())) <= left
         assert set(map(tuple, a_prime.tolist())) <= right
 
     @pytest.mark.parametrize("q, m", ((3, 4), (5, 3), (7, 3)))
@@ -310,10 +324,10 @@ class TestUnitOrbits:
             return rref.shape, rref.tobytes()
 
         census = Counter(key(a, a_prime) for a, a_prime in product(*restricted_elements(field, m)))
-        a, a_prime, sizes = next(_pair_source(field, m))
+        c, a_prime, sizes = next(_pair_source(field, m))
         orbits = {
-            key(RingElement(field, 2 * m, tuple(x)), RingElement(field, m, tuple(y))): int(size)
-            for x, y, size in zip(a.tolist(), a_prime.tolist(), sizes)
+            key(RingElement(field, 2 * m, tuple(x + x)), RingElement(field, m, tuple(y))): int(size)
+            for x, y, size in zip(c.tolist(), a_prime.tolist(), sizes)
         }
         assert len(orbits) == len(sizes)
         assert orbits == dict(census)
@@ -452,20 +466,22 @@ class TestRestrictedDims:
         pairs += [(zero_a, a_prime) for _, a_prime in pairs[:15]]
         a = np.array([a.coeffs for a, _ in pairs], dtype=np.int64)
         a_prime = np.array([a_prime.coeffs for _, a_prime in pairs], dtype=np.int64)
+        assert (a[:, :m] == a[:, m:]).all()  # a = c || c
         expected = [2 * m - int(generator_poly(*pair).degree) for pair in pairs]
-        assert restricted_dims(field, m, a, a_prime).tolist() == expected
+        assert restricted_dims(field, m, a[:, :m], a_prime).tolist() == expected
 
 
 class TestTrialBlocks:
     def test_rows_are_sample_pair_draws(self):
         trials = TRIAL_BLOCK + 1
         for start in (0, TRIAL_BLOCK):
-            a, a_prime, sizes = _sample_block(F3, 5, 19, start, trials)
-            assert len(a) == len(a_prime) == len(sizes) == min(TRIAL_BLOCK, trials - start)
+            c, a_prime, sizes = _sample_block(F3, 5, 19, start, trials)
+            rows = min(TRIAL_BLOCK, trials - start)
+            assert c.shape == a_prime.shape == (rows, 5) and len(sizes) == rows
             assert sizes.tolist() == [1] * len(sizes)
-            for k, row in enumerate(zip(a.tolist(), a_prime.tolist())):
+            for k, (x, y) in enumerate(zip(c.tolist(), a_prime.tolist())):
                 pair = sample_pair(F3, 5, trial_rng(19, start + k))
-                assert tuple(map(tuple, row)) == (pair.a.coeffs, pair.a_prime.coeffs)
+                assert (tuple(x + x), tuple(y)) == (pair.a.coeffs, pair.a_prime.coeffs)
 
     def test_hits_match_a_loop_over_sample_pair(self):
         m, seed, trials = 4, 19, TRIAL_BLOCK + 1
@@ -481,6 +497,12 @@ class TestTrialBlocks:
             t = weight_threshold(m, delta)
             assert (rep.trials, rep.zero_code_fraction) == (trials, zero_codes / trials)
             assert rep.hits == sum(not code.has_word_of_weight_at_most(t) for code in codes)
+
+    @pytest.mark.parametrize("trials", (None, 5))
+    def test_m_not_coprime_raises_before_the_first_stack(self, trials):
+        # the samplers no longer go through sample_pair, which checks it too
+        with pytest.raises(NotCoprime):
+            _pair_source(F3, 3, trials=trials)
 
     def test_m1_draws_only_the_zero_code(self):
         trials = TRIAL_BLOCK + 1
@@ -540,6 +562,12 @@ class TestSphereCount:
     def test_domain(self):
         with pytest.raises(DomainError):
             sphere_count_check(j_plus_generator(2), 5)
+
+    def test_limit(self):
+        b = j_plus_generator(4)  # 27 elements
+        assert sphere_count_check(b, 8, limit=27)[0] == 27
+        with pytest.raises(EnumerationTooLarge, match="ideal has 27 elements, limit is 26"):
+            sphere_count_check(b, 8, limit=26)
 
     def test_inequality_all_ideals_of_r4_and_r8(self):
         # ideals of R_n dedupe as gcd(lift(b), X^n - 1) over every b

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 from .errors import (
@@ -464,11 +463,16 @@ class CosetPartition:
         return [len(c) for c in self.cosets if c != (0,)]
 
 
+def check_coprime(m: int, q: int) -> None:
+    """The one check that the co-index m and the field size q are coprime."""
+    if math.gcd(m, q) != 1:
+        raise NotCoprime(f"m={m} must be coprime to q={q}")
+
+
 def cyclotomic_cosets(m: int, q: int) -> CosetPartition:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if math.gcd(m, q) != 1:
-        raise NotCoprime(f"m={m} and q={q} are not coprime")
+    check_coprime(m, q)
     seen = [False] * m
     cosets = []
     for s in range(m):
@@ -511,7 +515,7 @@ def coset_idempotents(field: PrimeField, n: int) -> tuple[RingElement, ...]:
     cosets = cyclotomic_cosets(n, p).cosets
     one = RingElement.one(field, n)
     pieces = [one]
-    for c, coset in product(range(p), cosets):
+    for c, coset in ((c, coset) for c in range(p) for coset in cosets):
         if len(pieces) == len(cosets):
             break
         x = RingElement(field, n, tuple((j in coset) + c * (j == 0) for j in range(n)))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import ensemble
-from .algebra import PrimeField, RingElement, cyclotomic_cosets, min_factor_degree
+from .algebra import PrimeField, RingElement, min_factor_degree
 from .codes import DEFAULT_ENUM_LIMIT, construct_code
 from .ensemble import CSV_FIELDS, EnsembleReport
 from .errors import BoundOverflow, EnumerationTooLarge, QC15Error
@@ -113,7 +113,7 @@ def _ideal_bound(m: int, d: int, ell: int) -> float | None:
 # -- construct / distance ------------------------------------------------------------
 
 
-def _cmd_construct(args: argparse.Namespace, with_distance: bool) -> int:
+def _cmd_construct(args: argparse.Namespace) -> int:
     field = _field(args.q)
     m = _check_m(args.m)
     try:
@@ -122,10 +122,7 @@ def _cmd_construct(args: argparse.Namespace, with_distance: bool) -> int:
     except ValueError as exc:
         raise ValidationError(f"bad coefficient string: {exc}")
     code = construct_code(a, a_prime)
-    distance = None
-    if with_distance or args.distance:
-        distance = code.min_distance(limit=args.max_enum)
-    doc = code.to_json_dict(distance)
+    doc = code.to_json_dict(code.min_distance(limit=args.max_enum) if args.distance else None)
     if args.list_codewords:
         words = code.codewords(limit=args.max_enum)
         doc["codewords"] = sorted(w.to_string() for w in words)
@@ -191,8 +188,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.m is None:
         raise ValidationError("bounds needs --m or --scan-m")
     m = args.m
-    cyclotomic_cosets(m, q)  # validates coprimality
-    ell = min_factor_degree(m, q)
+    ell = min_factor_degree(m, q)  # validates m and its coprimality to q
     doc.update(
         {
             "m": m,
@@ -253,6 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--a", type=str, required=True)
     p_dist.add_argument("--a-prime", type=str, required=True, dest="a_prime")
     p_dist.add_argument("--list-codewords", action="store_true", dest="list_codewords")
+    p_dist.set_defaults(distance=True)
 
     p_sw = sub.add_parser("sweep", help="ensemble experiments, one CSV row per (m, delta)")
     add_common(p_sw)
@@ -281,11 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        if args.command == "construct":
-            return _cmd_construct(args, with_distance=False)
-        if args.command == "distance":
-            args.distance = True
-            return _cmd_construct(args, with_distance=True)
+        if args.command in ("construct", "distance"):
+            return _cmd_construct(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "bounds":

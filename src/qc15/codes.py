@@ -6,9 +6,11 @@ last m coordinates one step to the right. Each pair (a, a') with a in R_{2m}
 and a' in R_m spans such a code: the set of all (f*a mod X^{2m}-1,
 f*a' mod X^m-1).
 
-The code is fully described by two complementary monic divisors of X^{2m}-1:
-a generator polynomial g and a check polynomial h with g*h = X^{2m}-1 and
-dim = deg h.
+Construction is one scan of the span matrix (the 2m circulant rows): dim is
+its rank, and the rows it keeps are the generator matrix. The polynomial
+description, two complementary monic divisors of X^{2m}-1 (a generator
+polynomial g and a check polynomial h with g*h = X^{2m}-1 and dim = deg h),
+is derived from (a, a') only when g or h is read.
 """
 
 from __future__ import annotations
@@ -16,17 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Poly, PrimeField, RingElement, poly_gcd
+from .algebra import Poly, PrimeField, RingElement, check_coprime, poly_gcd
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
     NotADivisor,
-    NotCoprime,
     RingMismatch,
     ZeroCode,
 )
@@ -197,14 +198,29 @@ class Qc15Code:
     m: int
     a: RingElement
     a_prime: RingElement
-    g: Poly
-    h: Poly
     dim: int
     gen_matrix: np.ndarray = dc_field(repr=False)
     rref: np.ndarray = dc_field(repr=False, compare=False)  # RREF of gen_matrix
     # (cap, lightest_word_weight(cap)) of the widest scan so far; (0, 1) holds
     # for every nonzero code
     lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False, compare=False)
+
+    @property
+    def g(self) -> Poly:
+        """The canonical monic generator polynomial, derived from (a, a')."""
+        return generator_poly(self.a, self.a_prime)
+
+    @property
+    def h(self) -> Poly:
+        """The check polynomial (X^{2m}-1)/g, checked against the rank: as a
+        module the code is GF(p)[X]/(h), so deg h = dim and h annihilates
+        (a, a'), i.e. encodes to the zero word."""
+        h = check_poly(self.g, self.m)
+        if h.degree != self.dim:
+            raise AssertionError(f"deg h = {h.degree} but the span matrix has rank {self.dim}")
+        if self.encode(RingElement.from_poly(h, 2 * self.m)).weight():
+            raise AssertionError(f"h = {h.to_text()} does not annihilate (a, a')")
+        return h
 
     @property
     def length(self) -> int:
@@ -344,37 +360,22 @@ class Qc15Code:
 
 
 def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
-    """Build the code spanned by (a, a') along with g, h, dim and a generator matrix.
+    """Build the code spanned by (a, a') with its dim and generator matrix.
 
-    The generator matrix is the canonical one: the rows a top-down scan of
-    the span matrix keeps, each row that increases the rank. As a module
-    the code is GF(p)[X]/(h), so no nonzero polynomial of degree < dim
-    annihilates (a, a') and the scan keeps exactly rows 0..dim-1, the
-    encodings of X^0..X^{dim-1}. Both halves of that are checked: those
-    rows give dim pivots, and h annihilates the pair (sum of h_k times row
-    k mod 2m is 0), so X^dim and every higher power encode into their span.
+    One top-down scan of the span matrix keeps each row that increases the
+    rank: dim is the number of rows kept, the generator matrix is those rows
+    and the scan's RREF is kept for the threshold scan. As a module the code
+    is GF(p)[X]/(h), so no nonzero polynomial of degree < dim annihilates
+    (a, a') and the kept rows are rows 0..dim-1, the encodings of
+    X^0..X^{dim-1}. g and h are derived, and checked against dim, when read.
     """
-    if a.n != 2 * a_prime.n or a.field != a_prime.field:
-        raise RingMismatch(f"need a in R_2m and a' in R_m, got R_{a.n} and R_{a_prime.n}")
-    field = a.field
-    p = field.p
-    m = a_prime.n
-    if gcd(m, p) != 1:
-        raise NotCoprime(f"m={m} must be coprime to p={p}")
-    g = generator_poly(a, a_prime)
-    h = check_poly(g, m)
-    dim = int(h.degree) if not h.is_zero() else 0
-    full = span_matrix(a, a_prime)
-    gen = full[:dim]
-    rows, rref = leading_independent_rows(gen, p)
-    if len(rows) != dim:
-        raise AssertionError(f"the first deg h = {dim} span matrix rows have rank {len(rows)}")
-    h_vec = np.array(h.coeffs, dtype=np.int64 if (p - 1) ** 2 * (dim + 1) < 2**63 else object)
-    if (h_vec @ full[np.arange(dim + 1) % (2 * m)] % p).any():
-        raise AssertionError(f"h = {h.to_text()} does not annihilate (a, a')")
+    full = span_matrix(a, a_prime)  # checks the rings
+    check_coprime(a_prime.n, a.field.p)
+    rows, rref = leading_independent_rows(full, a.field.p)
+    gen = full[rows]
     gen.setflags(write=False)
     rref.setflags(write=False)
-    return Qc15Code(field, m, a, a_prime, g, h, dim, gen, rref)
+    return Qc15Code(a.field, a_prime.n, a, a_prime, len(rows), gen, rref)
 
 
 # -- message enumeration helpers --------------------------------------------------

@@ -47,12 +47,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .algebra import Poly, PrimeField, RingElement, coset_idempotents, cyclotomic_cosets
+from .algebra import (
+    Poly,
+    PrimeField,
+    RingElement,
+    check_coprime,
+    coset_idempotents,
+    cyclotomic_cosets,
+)
 from .bounds import delta_prob_bound, qary_entropy
 from .codes import (
     DEFAULT_ENUM_LIMIT,
@@ -61,12 +67,7 @@ from .codes import (
     gf_matmul,
     low_weight_message_count,
 )
-from .errors import (
-    DomainError,
-    EmptyTrialSet,
-    EnumerationTooLarge,
-    NotCoprime,
-)
+from .errors import DomainError, EmptyTrialSet, EnumerationTooLarge
 
 DeltaLike = Union[float, str, Fraction]
 
@@ -119,8 +120,7 @@ def sample_pair(field: PrimeField, m: int, rng: np.random.Generator) -> Restrict
     a surjective linear map onto the ideal with equal-size fibers, so the
     image is uniform. Same for the R_m factor.
     """
-    if gcd(m, field.p) != 1:
-        raise NotCoprime(f"m={m} must be coprime to p={field.p}")
+    check_coprime(m, field.p)
     gen2m, genm = restricted_generators(field, m)
     p = field.p
     f = RingElement(field, 2 * m, tuple(rng.integers(0, p, size=2 * m).tolist()))
@@ -327,8 +327,7 @@ def _pair_source(
     """
     if trials is not None and trials < 1:
         raise EmptyTrialSet("at least one trial is required")
-    if gcd(m, field.p) != 1:
-        raise NotCoprime(f"m={m} must be coprime to p={field.p}")
+    check_coprime(m, field.p)
     if trials is not None:
         return (_sample_block(field, m, seed, i, trials) for i in range(0, trials, TRIAL_BLOCK))
     p, pairs = field.p, field.p ** (2 * (m - 1))

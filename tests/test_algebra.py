@@ -367,7 +367,8 @@ IDEMPOTENT_RINGS = [(q, n) for q, top in ((3, 13), (5, 8), (7, 8))
 
 
 class TestCosetIdempotents:
-    @pytest.mark.parametrize("q, n", IDEMPOTENT_RINGS)
+    # p > 2^32: the split constants c run over GF(p) lazily
+    @pytest.mark.parametrize("q, n", IDEMPOTENT_RINGS + [(4294967311, 2)])
     def test_orthogonal_idempotents_summing_to_one(self, q, n):
         field = PrimeField(q)
         es = coset_idempotents(field, n)

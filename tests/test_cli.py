@@ -28,6 +28,12 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+# the four sweep modes: Monte-Carlo or exact, distance or full rank
+SWEEP_MODES = (("--delta", "0.1", "--trials", "5"),
+               ("--delta", "0.1", "--exact"),
+               ("--fullrank", "--trials", "5"),
+               ("--fullrank", "--exact"))
+
 HEADER = "q,m,delta,mode,trials,hits,estimate,exact,bound,zero_code_fraction,seed,warning\n"
 
 # Exact stdout of small sweeps, one per branch of the sweep command: exact
@@ -282,16 +288,28 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("mode", (("--delta", "0.1", "--trials", "5"),
-                                      ("--delta", "0.1", "--exact"),
-                                      ("--fullrank", "--trials", "5"),
-                                      ("--fullrank", "--exact")))
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
     @pytest.mark.parametrize("m", ("3", "2,3"))
     def test_m_not_coprime_to_q_exits_2(self, capsys, m, mode):
         # no partial CSV either: m = 2 alone would print a row
         rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", m, *mode)
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and "coprime" in err and err.count("\n") == 1
+
+    def test_one_coprimality_message(self, capsys):
+        runs = [("sweep", "--q", "3", "--m", "3", *mode) for mode in SWEEP_MODES] + [
+            ("construct", "--q", "3", "--m", "3", "--a", "1", "--a-prime", "1"),
+            ("bounds", "--q", "3", "--m", "3"),
+        ]
+        errs = {run_cli(capsys, *argv)[2] for argv in runs}
+        assert errs == {"error: m=3 must be coprime to q=3\n"}
+
+    def test_fullrank_sweep_on_a_large_field(self, capsys):
+        # p > 2^32: the idempotents must not list GF(p)
+        rc, out, _ = run_cli(capsys, "sweep", "--q", "4294967311", "--m", "2",
+                             "--fullrank", "--trials", "5")
+        assert rc == 0
+        assert [r["m"] for r in parse_csv(out)] == ["2"]
 
     @pytest.mark.parametrize("seed", ("abc", "-1"))
     def test_bad_seed_environment_exits_2(self, capsys, monkeypatch, seed):

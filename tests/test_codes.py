@@ -25,7 +25,7 @@ from qc15.codes import (
     leading_independent_rows,
     span_matrix,
 )
-from qc15.ensemble import restricted_elements
+from qc15.ensemble import exact_delta_leq_probs, mc_delta_probs, restricted_elements
 from qc15.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -281,26 +281,52 @@ class TestKeptRows:
             kept, rref = leading_independent_rows(span_matrix(a, ap), code.field.p)
             assert kept == list(range(code.dim))
             assert np.array_equal(rref, code.rref)
+            # the rank agrees with the polynomial description
+            assert code.h.degree == code.dim
+            assert code.g * code.h == Poly.x_pow_minus_one(code.field, 2 * code.m)
             dims.add((code.field.p, code.m, code.dim))
         # the unrestricted pairs reach both ends and the middle
         assert {(5, 3, 0), (5, 3, 6), (7, 4, 0), (7, 4, 8)} <= dims
         assert len(dims) > 40
 
-    @pytest.mark.parametrize("off_by, check", ((1, "rank"), (-1, "annihilate")))
+    @pytest.mark.parametrize("off_by, check", ((1, "rank"), (-1, "rank"), (0, "annihilate")))
     def test_wrong_check_poly_is_caught(self, monkeypatch, off_by, check):
-        # h of degree dim + 1 fails the pivot count, degree dim - 1 the annihilation
+        # reading h checks it: an h of degree dim + 1 or dim - 1 fails the
+        # degree check, one of degree dim with its constant term + 1 only the
+        # annihilation check
         left, right = restricted_elements(F3, 4)
         pairs = [(example2().a, example2().a_prime), (left[5], right[7])]
         real = codes.check_poly
 
         def wrong(g, m):
             h = real(g, m)
-            return h * Poly.x_pow(h.field, 1) if off_by > 0 else Poly(h.field, h.coeffs[1:])
+            if off_by > 0:
+                return h * Poly.x_pow(h.field, 1)
+            if off_by < 0:
+                return Poly(h.field, h.coeffs[1:])
+            return Poly(h.field, (h.coeffs[0] + 1,) + h.coeffs[1:])
 
         monkeypatch.setattr(codes, "check_poly", wrong)
         for a, ap in pairs:
+            code = construct_code(a, ap)
             with pytest.raises(AssertionError, match=check):
-                construct_code(a, ap)
+                code.h
+
+    def test_construction_reads_no_polynomial(self, monkeypatch):
+        # dim is the rank of the span matrix: building and scanning codes,
+        # alone or in the sweeps, derives neither g nor h
+        def refuse(*args):
+            raise AssertionError("g or h derived")
+
+        monkeypatch.setattr(codes, "generator_poly", refuse)
+        monkeypatch.setattr(codes, "check_poly", refuse)
+        rnd = random.Random(71)
+        for _ in range(20):
+            code = construct_code(*random_pair(rnd, F3, 5))
+            assert code.has_word_of_weight_at_most(5) == (code.min_distance().distance <= 5)
+        deltas = (Fraction(1, 10), Fraction(3, 10))
+        assert len(mc_delta_probs(F3, 5, deltas, 50, 42)) == 2
+        assert len(exact_delta_leq_probs(F3, 5, deltas)) == 2
 
 
 class TestEncode:

@@ -6,18 +6,19 @@ last m coordinates one step to the right. Each pair (a, a') with a in R_{2m}
 and a' in R_m spans such a code: the set of all (f*a mod X^{2m}-1,
 f*a' mod X^m-1).
 
-Construction is one scan of the span matrix (the 2m circulant rows): dim is
-its rank, and the rows it keeps are the generator matrix. The polynomial
-description, two complementary monic divisors of X^{2m}-1 (a generator
-polynomial g and a check polynomial h with g*h = X^{2m}-1 and dim = deg h),
-is derived from (a, a') only when g or h is read.
+Construction is one scan of the span matrix (the 2m circulant rows), run over
+a whole stack of codes at once: dim is its rank, the rows it keeps are the
+generator matrix. The polynomial description, two complementary monic
+divisors of X^{2m}-1 (a generator polynomial g and a check polynomial h with
+g*h = X^{2m}-1 and dim = deg h), is derived from (a, a') when g or h is first
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
@@ -80,8 +81,9 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def gf_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (R, pivot_columns), zero rows dropped."""
-    m = np.array(mat, dtype=np.int64) % p
+    """Reduced row echelon form over GF(p); returns (R, pivot_columns), zero rows dropped.
+    Computed in int64 where a product of two entries fits, else in object ints."""
+    m = np.array(mat, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p
     n_rows, n_cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -101,37 +103,42 @@ def gf_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m %= p
         pivots.append(c)
         r += 1
-    return m[: len(pivots)], pivots
+    return m[: len(pivots)].astype(np.int64), pivots
 
 
 def gf_rank(mat: np.ndarray, p: int) -> int:
     return len(gf_rref(mat, p)[1])
 
 
-def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Indices of rows kept by a top-down scan, keeping a row iff it raises the rank,
-    and the reduced row echelon form of the kept rows.
+def leading_independent_rows(mat: np.ndarray, p: int) -> tuple:
+    """The top-down row scan of each matrix of a (B, R, C) stack: (dims, rrefs),
+    rrefs[b, :dims[b]] the RREF of the rows b keeps, in pivot order, zero below.
+    A 2-D matrix is a stack of one and gives (kept row indices, RREF).
 
-    Each kept row is normalized and eliminated from every other row at once,
-    so a row that is still nonzero when the scan reaches it is outside the
-    span of the rows above it, and the kept rows end fully reduced.
+    At row i a matrix whose reduced row i is nonzero keeps it: it pivots on
+    the first nonzero column, scales the row by the lead's inverse and clears
+    that column from all rows in one broadcast, so the kept rows end reduced.
     """
-    work = np.asarray(mat, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p
-    kept: list[int] = []
-    pivots: list[int] = []
-    for i in range(len(work)):
-        nonzero = work[i].nonzero()[0]
-        if not nonzero.size:
+    work = np.array(mat, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p  # as gf_rref
+    single = work.ndim == 2
+    work = work.reshape(-1, *work.shape[-2:])
+    (count, n_rows, n_cols), at = work.shape, np.arange(len(work))
+    order = np.tile(n_cols + np.arange(n_rows), (count, 1))  # pivot if kept, else past all
+    for i in range(n_rows):
+        c = (work[:, i] != 0).argmax(axis=1)
+        lead = work[at, i, c]
+        if not lead.any():
             continue
-        c = int(nonzero[0])
-        row, lead = work[i], int(work[i, c])
-        if lead != 1:
-            row = row * pow(lead, -1, p) % p
-        work = (work - work[:, c, None] * row) % p
-        work[i] = row
-        kept.append(i)
-        pivots.append(c)
-    return kept, work[kept][np.argsort(pivots)].astype(np.int64)
+        inv = np.array([pow(x, -1, p) if x else 0 for x in lead.tolist()], dtype=work.dtype)
+        row = work[:, i] * inv[:, None] % p
+        work = (work - work[at, :, c][:, :, None] * row[:, None, :]) % p
+        work[:, i] = row
+        order[lead != 0, i] = c[lead != 0]
+    dims = (order < n_cols).sum(axis=1)
+    rrefs = np.take_along_axis(work, np.argsort(order)[:, :, None], axis=1).astype(np.int64)
+    if single:
+        return np.flatnonzero(order[0] < n_cols).tolist(), rrefs[0, : dims[0]]
+    return dims, rrefs
 
 
 # -- circulant blocks --------------------------------------------------------------
@@ -205,12 +212,12 @@ class Qc15Code:
     # for every nonzero code
     lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False, compare=False)
 
-    @property
+    @cached_property
     def g(self) -> Poly:
-        """The canonical monic generator polynomial, derived from (a, a')."""
+        """The canonical monic generator polynomial, derived from (a, a') on first read."""
         return generator_poly(self.a, self.a_prime)
 
-    @property
+    @cached_property
     def h(self) -> Poly:
         """The check polynomial (X^{2m}-1)/g, checked against the rank: as a
         module the code is GF(p)[X]/(h), so deg h = dim and h annihilates
@@ -362,12 +369,12 @@ class Qc15Code:
 def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     """Build the code spanned by (a, a') with its dim and generator matrix.
 
-    One top-down scan of the span matrix keeps each row that increases the
-    rank: dim is the number of rows kept, the generator matrix is those rows
-    and the scan's RREF is kept for the threshold scan. As a module the code
-    is GF(p)[X]/(h), so no nonzero polynomial of degree < dim annihilates
-    (a, a') and the kept rows are rows 0..dim-1, the encodings of
-    X^0..X^{dim-1}. g and h are derived, and checked against dim, when read.
+    One scan of the span matrix (leading_independent_rows, a stack of one)
+    keeps each row that increases the rank: dim is the number kept, the
+    generator matrix is those rows and the RREF is kept for the threshold
+    scan. As a module the code is GF(p)[X]/(h), so no nonzero polynomial of
+    degree < dim annihilates (a, a'): the kept rows are rows 0..dim-1, the
+    encodings of X^0..X^{dim-1}. g and h are derived when first read.
     """
     full = span_matrix(a, a_prime)  # checks the rings
     check_coprime(a_prime.n, a.field.p)
@@ -376,6 +383,28 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     gen.setflags(write=False)
     rref.setflags(write=False)
     return Qc15Code(a.field, a_prime.n, a, a_prime, len(rows), gen, rref)
+
+
+def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list[Qc15Code]:
+    """construct_code(c[k] || c[k], a'[k]) for each row k of the (B, m) stacks
+    c and a', from one leading_independent_rows call.
+
+    For a = c || c, rows i and i + m of the span matrix are equal, and so are
+    columns j and j + m for j < m. So the scan runs over the (B, m, 2m) stack
+    [circ(c) | circ(a')] and copies the c block into gen_matrix and rref.
+    """
+    m = c.shape[1]
+    j = np.arange(m)
+    shift = (j[None, :] - j[:, None]) % m  # circulant_matrix's gather
+    blocks = np.concatenate([c[:, shift], a_prime[:, shift]], axis=2)
+    dims, rrefs = leading_independent_rows(blocks, field.p)
+    cols = np.concatenate([j, j, m + j])
+    gens, rrefs = blocks[:, :, cols], rrefs[:, :, cols]
+    for stack in (gens, rrefs):
+        stack.setflags(write=False)
+    return [Qc15Code(field, m, *(RingElement(field, len(v), tuple(v)) for v in (x + x, y)),
+                     int(d), gen[:d], rref[:d])
+            for x, y, d, gen, rref in zip(c.tolist(), a_prime.tolist(), dims, gens, rrefs)]
 
 
 # -- message enumeration helpers --------------------------------------------------

@@ -16,13 +16,13 @@ because the relative distance of the zero code is not a defined quantity.
 
 Experiments
 -----------
-Every experiment runs one event over one pair source of stacks: rows of c
-and of a', each row standing for its unit orbit or, in stacks of TRIAL_BLOCK
-seeded samples, for itself. An event answers a stack with one bool column
-per report row: the distance event at each threshold, which builds and
-scans each code once for all of them, or dim = m - 1 (restricted_dims, no
-code). One tally weights the answers by the sizes and counts zero codes;
-one builder turns the counts into an EnsembleReport per row.
+Every experiment runs one event over one pair source of stacks of at most
+TRIAL_BLOCK rows of c and of a', each standing for its unit orbit or, as a
+seeded sample, for itself. An event answers a stack with one bool column per
+report row: the distance event at each threshold, which builds a stack's
+codes at once and scans each once for all thresholds, or dim = m - 1
+(restricted_dims, no code). One tally weights the answers by the sizes and
+counts zero codes; one builder makes an EnsembleReport of each row's counts.
 
 The orbits: (c, a') and (u c, u a') span the same code for every unit u of
 R_m. On a nonzero cyclotomic coset of size d the pair's component (c e_C,
@@ -62,10 +62,11 @@ from .algebra import (
 from .bounds import delta_prob_bound, qary_entropy
 from .codes import (
     DEFAULT_ENUM_LIMIT,
+    Qc15Code,
     circulant_matrix,
-    construct_code,
     gf_matmul,
     low_weight_message_count,
+    restricted_codes,
 )
 from .errors import DomainError, EmptyTrialSet, EnumerationTooLarge
 
@@ -288,7 +289,7 @@ class EnsembleReport:
 # most this many pairs, cheap enough to sweep alongside the trials.
 ATTACH_EXACT_PAIRS = 1000
 
-TRIAL_BLOCK = 64  # Monte-Carlo trials drawn and answered at a time
+TRIAL_BLOCK = 64  # pairs drawn or enumerated, and answered, at a time
 
 Pairs = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # c, a' with a = c || c, pairs per row
 # One column per report row: whether the row's event holds for each pair.
@@ -318,10 +319,10 @@ def _pair_source(
     """The stacked pairs (c, a') an experiment runs over, each with the number
     of restricted pairs it stands for; checked before the first stack.
 
-    With trials None: one stack holding one pair of each unit orbit, standing
-    for its orbit, built coset by coset as the module docstring describes:
-    the choices on the cosets are summed over their Cartesian product and
-    their sizes multiplied.
+    With trials None: one pair of each unit orbit, standing for its orbit,
+    built coset by coset as the module docstring describes (the choices on
+    the cosets summed over their Cartesian product and their sizes
+    multiplied), and handed on TRIAL_BLOCK at a time.
     Otherwise: the pairs sample_pair(field, m, trial_rng(seed, i)) draws for
     i < trials, each standing for itself, in stacks of TRIAL_BLOCK trials.
     """
@@ -346,7 +347,8 @@ def _pair_source(
         c = ((c[:, None] + on_c[None]) % p).reshape(-1, m)
         a_prime = ((a_prime[:, None] + on_a_prime[None]) % p).reshape(-1, m)
         sizes = (sizes[:, None] * factor[None]).ravel()
-    return iter([(c, a_prime, sizes)])
+    return ((c[i : i + TRIAL_BLOCK], a_prime[i : i + TRIAL_BLOCK], sizes[i : i + TRIAL_BLOCK])
+            for i in range(0, len(c), TRIAL_BLOCK))
 
 
 def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
@@ -364,17 +366,16 @@ def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
 
 def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     """Per threshold t in ts: some nonzero word has weight <= t; never true
-    of the zero code. Each pair's code is built once, from a = c || c, and
-    asked the largest t first, so one scan answers every row."""
+    of the zero code. A stack's codes are built by one restricted_codes call,
+    and each is asked the largest t first, so one scan answers every row."""
     widest_first = sorted(set(ts), reverse=True)
 
-    def holds(c: list[int], a_prime: list[int]) -> list[bool]:
-        code = construct_code(*(RingElement(field, len(x), tuple(x)) for x in (c + c, a_prime)))
+    def holds(code: Qc15Code) -> list[bool]:
         found = {t: code.has_word_of_weight_at_most(t, limit) for t in widest_first}
         return [found[t] for t in ts]
 
     return lambda c, a_prime: np.array(
-        [holds(*pair) for pair in zip(c.tolist(), a_prime.tolist())], dtype=bool
+        [holds(code) for code in restricted_codes(field, c, a_prime)], dtype=bool
     ).reshape(len(c), len(ts))
 
 

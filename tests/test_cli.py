@@ -311,6 +311,13 @@ class TestSweep:
         assert rc == 0
         assert [r["m"] for r in parse_csv(out)] == ["2"]
 
+    def test_distance_sweep_on_a_large_field(self, capsys):
+        # p > 2^32: the row scan runs on object ints; the stdout is pinned
+        rc, out, err = run_cli(capsys, "sweep", "--q", "4294967311", "--m", "2", "--delta",
+                               "0.4", "--trials", "5", "--seed", "1")
+        assert (rc, err) == (0, "")
+        assert out == HEADER + "4294967311,2,0.4,montecarlo,5,5,1.0,,1297.8439299160966,0.0,1,\n"
+
     @pytest.mark.parametrize("seed", ("abc", "-1"))
     def test_bad_seed_environment_exits_2(self, capsys, monkeypatch, seed):
         monkeypatch.setenv("QC15_SEED", seed)

@@ -23,9 +23,18 @@ from qc15.codes import (
     gf_rank,
     gf_rref,
     leading_independent_rows,
+    restricted_codes,
     span_matrix,
 )
-from qc15.ensemble import exact_delta_leq_probs, mc_delta_probs, restricted_elements
+from qc15.algebra import coset_idempotents
+from qc15.ensemble import (
+    TRIAL_BLOCK,
+    _pair_source,
+    _sample_block,
+    exact_delta_leq_probs,
+    mc_delta_probs,
+    restricted_elements,
+)
 from qc15.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -329,6 +338,144 @@ class TestKeptRows:
         assert len(exact_delta_leq_probs(F3, 5, deltas)) == 2
 
 
+def gauss_jordan(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Reduced row echelon form over GF(p) in plain Python ints, zero rows
+    dropped: the reference for gf_rref at any p."""
+    rows = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+P_LARGE = 4294967311  # (p - 1)^2 > 2^63: products need object ints
+
+
+class TestGfRref:
+    @pytest.mark.parametrize("p", (3, 1009, P_LARGE))
+    def test_matches_plain_gauss_jordan(self, p):
+        rng = np.random.default_rng(1)
+        for shape in ((3, 5), (4, 4), (5, 3)):
+            mat = rng.integers(0, p, shape)
+            # a dependent row and a zero row lower the rank
+            mat = np.vstack([mat, (2 * mat[0] + mat[-1]) % p, np.zeros(shape[1], dtype=np.int64)])
+            rref, pivots = gf_rref(mat, p)
+            expected = gauss_jordan(mat.tolist(), p)
+            assert rref.dtype == np.int64 and rref.tolist() == expected
+            assert gf_rank(mat, p) == len(pivots) == len(expected)
+
+
+def span_stack(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+    """The span matrices of the restricted pairs (c[k] || c[k], a'[k])."""
+    m = c.shape[1]
+    return np.stack([
+        span_matrix(RingElement(field, 2 * m, tuple(x + x)), RingElement(field, m, tuple(y)))
+        for x, y in zip(c.tolist(), a_prime.tolist())
+    ])
+
+
+def short_w_projections(field: PrimeField, c: np.ndarray) -> np.ndarray:
+    """c with every other row multiplied by the idempotent of its last
+    cyclotomic coset, so that its w-projection spans one coset only."""
+    e = circulant_matrix(coset_idempotents(field, c.shape[1])[-1])
+    out = c.copy()
+    out[::2] = gf_matmul(c[::2], e, field.p)
+    return out
+
+
+def orbit_pairs(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]:
+    c, a_prime, _ = (np.concatenate(part) for part in zip(*_pair_source(field, m)))
+    return c, a_prime
+
+
+def sampled_pairs(field: PrimeField, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    c, a_prime, _ = _sample_block(field, m, seed, 0, TRIAL_BLOCK)
+    return short_w_projections(field, c), a_prime
+
+
+class TestStackedScan:
+    """leading_independent_rows on (B, R, C) stacks and restricted_codes,
+    against gf_rref and construct_code one matrix at a time."""
+
+    def assert_scan_matches_gf_rref(self, stack: np.ndarray, p: int) -> np.ndarray:
+        dims, rrefs = leading_independent_rows(stack, p)
+        assert rrefs.shape == stack.shape and rrefs.dtype == np.int64
+        for mat, dim, rref in zip(stack, dims, rrefs):
+            expected, pivots = gf_rref(mat, p)
+            assert dim == len(pivots)
+            assert np.array_equal(rref[:dim], expected)
+            assert not rref[dim:].any()
+        return dims
+
+    def assert_codes_match(self, field: PrimeField, c: np.ndarray, a_prime: np.ndarray):
+        spans = span_stack(field, c, a_prime)
+        built = restricted_codes(field, c, a_prime)
+        assert len(built) == len(c)
+        for code, x, y, span in zip(built, c.tolist(), a_prime.tolist(), spans):
+            ref = construct_code(RingElement(field, 2 * len(x), tuple(x + x)),
+                                 RingElement(field, len(y), tuple(y)))
+            assert (code.a, code.a_prime, code.dim) == (ref.a, ref.a_prime, ref.dim)
+            assert code.dim == gf_rank(span, field.p)
+            assert np.array_equal(code.gen_matrix, span[: code.dim])
+            assert np.array_equal(code.gen_matrix, ref.gen_matrix)
+            assert np.array_equal(code.rref, ref.rref)
+            assert np.array_equal(code.rref, gf_rref(span, field.p)[0])
+
+    @pytest.mark.parametrize("m", (1, 2, 4, 5, 7))
+    def test_unit_orbit_stacks_q3(self, m):
+        c, a_prime = orbit_pairs(F3, m)
+        self.assert_scan_matches_gf_rref(span_stack(F3, c, a_prime), 3)
+        self.assert_codes_match(F3, c, a_prime)
+
+    def test_every_restricted_pair_q3_m4_as_one_stack(self):
+        left, right = restricted_elements(F3, 4)
+        stack = np.stack([span_matrix(a, ap) for a in left for ap in right])
+        assert stack.shape == (729, 8, 12)
+        dims = self.assert_scan_matches_gf_rref(stack, 3)
+        assert set(dims.tolist()) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("q, m", ((5, 6), (7, 4), (P_LARGE, 3)))
+    def test_sampled_stacks_with_short_w_projections(self, q, m):
+        field = PrimeField(q)
+        c, a_prime = sampled_pairs(field, m, seed=q)
+        dims = self.assert_scan_matches_gf_rref(span_stack(field, c, a_prime), q)
+        w_ranks = [gf_rank(circulant_matrix(RingElement(field, m, tuple(x))), q)
+                   for x in c.tolist()]
+        # both kinds occur: the w-projection spans the code or falls short of it
+        assert {w == d for w, d in zip(w_ranks, dims.tolist())} == {True, False}
+        self.assert_codes_match(field, c, a_prime)
+
+    def test_stack_of_one_is_a_2d_call(self):
+        mat = span_stack(F3, *orbit_pairs(F3, 5))[-1]
+        kept, rref = leading_independent_rows(mat, 3)
+        dims, rrefs = leading_independent_rows(mat[None], 3)
+        assert kept == list(range(dims[0]))
+        assert np.array_equal(rref, rrefs[0, : dims[0]])
+
+    def test_exact_sweep_scans_at_most_trial_block_codes_at_once(self, monkeypatch):
+        stacks = []
+        real = codes.leading_independent_rows
+
+        def record(mat, p):
+            stacks.append(len(mat))
+            return real(mat, p)
+
+        monkeypatch.setattr(codes, "leading_independent_rows", record)
+        exact_delta_leq_probs(F3, 7, ["0.106", "0.3"])
+        assert sum(stacks) == 731  # one code per unit orbit
+        assert max(stacks) <= TRIAL_BLOCK
+
+
 class TestEncode:
     def test_identity_message_gives_the_pair(self):
         code = example1()
@@ -356,12 +503,17 @@ class TestEncode:
         h_elt = RingElement.from_poly(code.h, 4)
         assert code.encode(h_elt).weight() == 0
 
-    def test_kernel_is_exactly_multiples_of_h(self):
+    def test_kernel_is_exactly_multiples_of_h(self, monkeypatch):
+        # h, and with it g, is derived once per code, not once per call
+        calls = []
+        real = codes.generator_poly
+        monkeypatch.setattr(codes, "generator_poly", lambda *pair: calls.append(1) or real(*pair))
         for code in (example1(), example2()):
             for idx in range(3**4):
                 f = RingElement(F3, 4, tuple((idx // 3**j) % 3 for j in range(4)))
                 encoded_zero = code.encode(f).weight() == 0
                 assert encoded_zero == code.in_kernel(f)
+        assert len(calls) == 2
 
     def test_encode_message_golden(self):
         code = example1()

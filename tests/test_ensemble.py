@@ -71,6 +71,15 @@ def pair_sweep(q: int, m: int) -> tuple[tuple[int, ...], int]:
     return tuple(sum(d <= t for d in distances) for t in range(3 * m + 1)), fullrank
 
 
+def unit_orbits(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact source's (c, a', sizes) joined over its stacks, each of at
+    most TRIAL_BLOCK orbits."""
+    stacks = list(_pair_source(field, m))
+    assert all(len(sizes) <= TRIAL_BLOCK for _, _, sizes in stacks)
+    c, a_prime, sizes = (np.concatenate(part) for part in zip(*stacks))
+    return c, a_prime, sizes
+
+
 # (q, m) small enough for the pair sweep
 ORACLE_SPACES = ((3, 2), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2))
 
@@ -304,7 +313,7 @@ class TestUnitOrbits:
     )
     def test_orbit_count_is_product_over_cosets(self, q, m, orbits):
         field = PrimeField(q)
-        c, a_prime, sizes = next(_pair_source(field, m))
+        c, a_prime, sizes = unit_orbits(field, m)
         assert orbits == math.prod(q**d + 2 for d in cyclotomic_cosets(m, q).nonzero_sizes())
         assert c.shape == a_prime.shape == (orbits, m) and len(sizes) == orbits
         assert sizes.sum() == q ** (2 * (m - 1))
@@ -324,7 +333,7 @@ class TestUnitOrbits:
             return rref.shape, rref.tobytes()
 
         census = Counter(key(a, a_prime) for a, a_prime in product(*restricted_elements(field, m)))
-        c, a_prime, sizes = next(_pair_source(field, m))
+        c, a_prime, sizes = unit_orbits(field, m)
         orbits = {
             key(RingElement(field, 2 * m, tuple(x + x)), RingElement(field, m, tuple(y))): int(size)
             for x, y, size in zip(c.tolist(), a_prime.tolist(), sizes)

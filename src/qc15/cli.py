@@ -47,7 +47,7 @@ def _field(q: int) -> PrimeField:
 
 def _default_seed() -> int:
     try:
-        return _nonnegative_int(os.environ.get("QC15_SEED", "0"))
+        return _int_at_least(os.environ.get("QC15_SEED", "0"))
     except argparse.ArgumentTypeError as exc:
         raise ValidationError(f"QC15_SEED {exc}")
 
@@ -91,14 +91,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _nonnegative_int(text: str) -> int:
-    """The value of --max-enum, --seed or QC15_SEED."""
+def _int_at_least(text: str, low: int = 0) -> int:
+    """The value of a counted option: --max-enum, --seed or QC15_SEED (low 0),
+    or --trials (low 1)."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
 
 
@@ -177,7 +178,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     doc: dict = {"q": q, "delta_star": bounds_mod.delta_star(q)}
     doc["h_inv_half"] = bounds_mod.qary_entropy_inv(q, 0.5)
 
-    if args.scan_m:
+    if args.scan_m is not None:
+        if args.m is not None or args.delta is not None or args.ideals:
+            raise ValidationError("--scan-m takes no --m, --delta or --ideals")
         lo, hi = _parse_range(args.scan_m)
         doc["scan"] = bounds_mod.scan_goodness_records(q, lo, hi)
         if not doc["scan"]:
@@ -229,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--q", type=int, required=True, help="odd prime field size")
-        p.add_argument("--max-enum", type=_nonnegative_int, default=DEFAULT_ENUM_LIMIT,
+        p.add_argument("--max-enum", type=_int_at_least, default=DEFAULT_ENUM_LIMIT,
                        help="enumeration ceiling, at least 0 (default 2^24)")
 
     p_con = sub.add_parser("construct", help="build a code from (a, a') and print JSON")
@@ -256,8 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--m", type=str, required=True, help="comma-separated co-index list")
     p_sw.add_argument("--delta", type=str, default=None,
                       help="comma-separated relative-distance thresholds")
-    p_sw.add_argument("--trials", type=int, default=1000)
-    p_sw.add_argument("--seed", type=_nonnegative_int, default=None,
+    p_sw.add_argument("--trials", type=lambda text: _int_at_least(text, 1), default=1000,
+                      help="at least 1 (default 1000)")
+    p_sw.add_argument("--seed", type=_int_at_least, default=None,
                       help="at least 0; default from QC15_SEED, else 0")
     p_sw.add_argument("--exact", action="store_true",
                       help="full pair-space sweep instead of sampling")

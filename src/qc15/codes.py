@@ -8,10 +8,12 @@ f*a' mod X^m-1).
 
 Construction is one scan of the span matrix (the 2m circulant rows), run over
 a whole stack of codes at once: dim is its rank, the rows it keeps are the
-generator matrix. The polynomial description, two complementary monic
-divisors of X^{2m}-1 (a generator polynomial g and a check polynomial h with
-g*h = X^{2m}-1 and dim = deg h), is derived from (a, a') when g or h is first
-read.
+generator matrix. The same scan of circ(b) gives the dimension and basis of
+any ideal <b> of R_n (ensemble.ideal_basis), at every n, and codeword_blocks
+enumerates the words of a code or an ideal from its basis. The polynomial
+description, two complementary monic divisors of X^{2m}-1 (a generator
+polynomial g and a check polynomial h with g*h = X^{2m}-1 and dim = deg h),
+is derived from (a, a') when g or h is first read.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
 )
 
 DEFAULT_ENUM_LIMIT = 2**24
+MESSAGE_BLOCK = 1 << 15  # messages encoded at a time by codeword_blocks
 
 
 # -- words ---------------------------------------------------------------------
@@ -110,18 +113,17 @@ def gf_rank(mat: np.ndarray, p: int) -> int:
     return len(gf_rref(mat, p)[1])
 
 
-def leading_independent_rows(mat: np.ndarray, p: int) -> tuple:
+def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The top-down row scan of each matrix of a (B, R, C) stack: (dims, rrefs),
     rrefs[b, :dims[b]] the RREF of the rows b keeps, in pivot order, zero below.
-    A 2-D matrix is a stack of one and gives (kept row indices, RREF).
 
     At row i a matrix whose reduced row i is nonzero keeps it: it pivots on
     the first nonzero column, scales the row by the lead's inverse and clears
     that column from all rows in one broadcast, so the kept rows end reduced.
+    On the span of a cyclic module, circ(b) or a code's, they are the first
+    dims[b] rows (construct_code says why): a basis.
     """
     work = np.array(mat, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p  # as gf_rref
-    single = work.ndim == 2
-    work = work.reshape(-1, *work.shape[-2:])
     (count, n_rows, n_cols), at = work.shape, np.arange(len(work))
     order = np.tile(n_cols + np.arange(n_rows), (count, 1))  # pivot if kept, else past all
     for i in range(n_rows):
@@ -136,18 +138,18 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple:
         order[lead != 0, i] = c[lead != 0]
     dims = (order < n_cols).sum(axis=1)
     rrefs = np.take_along_axis(work, np.argsort(order)[:, :, None], axis=1).astype(np.int64)
-    if single:
-        return np.flatnonzero(order[0] < n_cols).tolist(), rrefs[0, : dims[0]]
     return dims, rrefs
 
 
 # -- circulant blocks --------------------------------------------------------------
 
 
-def circulant_matrix(v: RingElement) -> np.ndarray:
-    """n x n circulant whose row i is the coefficient vector of X^i * v."""
-    j = np.arange(v.n)
-    return np.array(v.coeffs, dtype=np.int64)[(j[None, :] - j[:, None]) % v.n]
+def circulant_matrix(v: RingElement | np.ndarray) -> np.ndarray:
+    """n x n circulant whose row i is the coefficient vector of X^i * v; of a
+    (B, n) stack of coefficient rows, the (B, n, n) stack of their circulants."""
+    coeffs = np.asarray(v.coeffs if isinstance(v, RingElement) else v, dtype=np.int64)
+    j = np.arange(coeffs.shape[-1])
+    return coeffs[..., (j[None, :] - j[:, None]) % len(j)]
 
 
 def span_matrix(a: RingElement, a_prime: RingElement) -> np.ndarray:
@@ -268,12 +270,8 @@ class Qc15Code:
         total = p**self.dim
         if total > limit:
             raise EnumerationTooLarge(f"{total} codewords exceed the limit {limit}")
-        if self.dim == 0:
-            return {self.zero_word()}
-        out: set[Word] = set()
-        for block in _codeword_blocks(self.gen_matrix, p, self.dim):
-            out.update(Word(self.m, tuple(int(c) for c in row)) for row in block)
-        return out
+        return {Word(self.m, tuple(int(c) for c in row))
+                for block in codeword_blocks(self.gen_matrix, p) for row in block}
 
     def min_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> DistanceResult:
         """Exact minimum Hamming weight by exhausting all p^dim codewords."""
@@ -284,16 +282,11 @@ class Qc15Code:
         if total > limit:
             raise EnumerationTooLarge(f"{total} codewords exceed the limit {limit}")
         best = self.length + 1
-        first = True
-        for block in _codeword_blocks(self.gen_matrix, p, self.dim):
+        for block in codeword_blocks(self.gen_matrix, p):
             weights = np.count_nonzero(block, axis=1)
-            if first:
-                weights = weights[1:]  # message index 0 is the zero word
-                first = False
-            if weights.size:
-                best = min(best, int(weights.min()))
-                if best == 1:
-                    break
+            best = int(weights[weights > 0].min(initial=best))  # rows independent: y = 0 alone
+            if best == 1:
+                break
         return DistanceResult(best, Fraction(best, self.length))
 
     def has_word_of_weight_at_most(
@@ -378,11 +371,11 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     """
     full = span_matrix(a, a_prime)  # checks the rings
     check_coprime(a_prime.n, a.field.p)
-    rows, rref = leading_independent_rows(full, a.field.p)
-    gen = full[rows]
+    (dim,), (rref,) = leading_independent_rows(full[None], a.field.p)
+    gen, rref = full[:dim], rref[:dim]
     gen.setflags(write=False)
     rref.setflags(write=False)
-    return Qc15Code(a.field, a_prime.n, a, a_prime, len(rows), gen, rref)
+    return Qc15Code(a.field, a_prime.n, a, a_prime, int(dim), gen, rref)
 
 
 def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list[Qc15Code]:
@@ -393,10 +386,8 @@ def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> l
     columns j and j + m for j < m. So the scan runs over the (B, m, 2m) stack
     [circ(c) | circ(a')] and copies the c block into gen_matrix and rref.
     """
-    m = c.shape[1]
-    j = np.arange(m)
-    shift = (j[None, :] - j[:, None]) % m  # circulant_matrix's gather
-    blocks = np.concatenate([c[:, shift], a_prime[:, shift]], axis=2)
+    m, j = c.shape[1], np.arange(c.shape[1])
+    blocks = np.concatenate([circulant_matrix(c), circulant_matrix(a_prime)], axis=2)
     dims, rrefs = leading_independent_rows(blocks, field.p)
     cols = np.concatenate([j, j, m + j])
     gens, rrefs = blocks[:, :, cols], rrefs[:, :, cols]
@@ -410,17 +401,17 @@ def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> l
 # -- message enumeration helpers --------------------------------------------------
 
 
-def _codeword_blocks(
-    gen: np.ndarray, p: int, k: int, block: int = 1 << 15
-) -> Iterator[np.ndarray]:
-    """Yield codeword matrices for message indices [0, p^k) in blocks."""
-    total = p**k
+def codeword_blocks(gen: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """The words y @ gen mod p for all p^k messages y in F^k, k = len(gen), in
+    blocks of MESSAGE_BLOCK rows; message index i has digits y_j = (i // p^j) % p,
+    so index 0 is the zero word (the only one when k = 0)."""
+    k, total = len(gen), p ** len(gen)
+    if total >= 2**63:
+        raise EnumerationTooLarge(f"{total} messages exceed the int64 message index")
     radix = np.array([p**j for j in range(k)], dtype=np.int64)
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        msgs = (idx[:, None] // radix[None, :]) % p
-        yield gf_matmul(msgs, gen, p)
+    for start in range(0, total, MESSAGE_BLOCK):
+        idx = np.arange(start, min(start + MESSAGE_BLOCK, total), dtype=np.int64)
+        yield gf_matmul((idx[:, None] // radix[None, :]) % p, gen, p)
 
 
 def low_weight_message_count(p: int, k: int, max_weight: int) -> int:

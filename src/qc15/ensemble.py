@@ -6,6 +6,10 @@ multiples a' of (X - 1) inside R_m. As a = (X^m + 1) c = c || c for one c in
 J = (X - 1) R_m, a pair is two uniform elements c, a' of J (dimension m - 1
 each), p^{2(m-1)} equally likely pairs; the experiments carry it as (c, a').
 
+The dimension and basis of an ideal <b> of R_n, at any n, are those of the
+row scan of circ(b) (ideal_basis); a stack of restricted pairs' code
+dimensions is read off the coset projections instead (restricted_dims).
+
 Event conventions
 -----------------
 "Relative distance <= delta" is implemented as "some nonzero codeword has
@@ -64,7 +68,9 @@ from .codes import (
     DEFAULT_ENUM_LIMIT,
     Qc15Code,
     circulant_matrix,
+    codeword_blocks,
     gf_matmul,
+    leading_independent_rows,
     low_weight_message_count,
     restricted_codes,
 )
@@ -132,31 +138,28 @@ def sample_pair(field: PrimeField, m: int, rng: np.random.Generator) -> Restrict
 # -- ideals inside R_n ----------------------------------------------------------------
 
 
-def ideal_dim(b: RingElement) -> int:
-    """Dimension of the ideal generated by b: n - deg gcd(lift(b), X^n - 1)."""
-    g = b.lift().gcd(Poly.x_pow_minus_one(b.field, b.n))
-    return b.n - int(g.degree)
-
-
 def ideal_basis(b: RingElement) -> np.ndarray:
-    """Rows X^i * g for i < dim, where g = gcd(lift(b), X^n - 1) generates <b>."""
-    g = b.lift().gcd(Poly.x_pow_minus_one(b.field, b.n))
-    return circulant_matrix(RingElement.from_poly(g, b.n))[: b.n - int(g.degree)]
+    """Rows X^i * b for i < dim <b>: as a module <b> is GF(p)[X]/(h_b), so the
+    row scan of circulant_matrix(b) keeps exactly its first dim rows."""
+    span = circulant_matrix(b)
+    (dim,), _ = leading_independent_rows(span[None], b.field.p)
+    return span[:dim]
+
+
+def ideal_dim(b: RingElement) -> int:
+    """Dimension of the ideal generated by b: the rows of ideal_basis(b)."""
+    return len(ideal_basis(b))
 
 
 def ideal_elements(b: RingElement, limit: int = DEFAULT_ENUM_LIMIT) -> np.ndarray:
-    """All p^dim elements of <b> as coefficient rows."""
+    """All p^dim elements of <b> as coefficient rows, the zero element first:
+    the words of ideal_basis(b) from codeword_blocks."""
     p = b.field.p
     basis = ideal_basis(b)
-    d = basis.shape[0]
-    total = p**d
+    total = p ** len(basis)
     if total > limit:
         raise EnumerationTooLarge(f"ideal has {total} elements, limit is {limit}")
-    if d == 0:
-        return np.zeros((1, b.n), dtype=np.int64)
-    radix = np.array([p**j for j in range(d)], dtype=np.int64)
-    msgs = (np.arange(total, dtype=np.int64)[:, None] // radix[None, :]) % p
-    return (msgs @ basis) % p
+    return np.concatenate(list(codeword_blocks(basis, p)))
 
 
 def restricted_elements(
@@ -380,9 +383,10 @@ def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
 
 
 def restricted_dims(field: PrimeField, m: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """The code dimension of each restricted pair (c[k] || c[k], a'[k]), with no
-    gcd: the code is {(w, w, v) : (w, v) in R_m (c, a')}, so its dimension is
-    the sum of |C| over the cosets C where (c, a') e_C != 0."""
+    """The code dimension of each restricted pair (c[k] || c[k], a'[k]), from
+    one product for the whole stack and no row scan: the code is
+    {(w, w, v) : (w, v) in R_m (c, a')}, so its dimension is the sum of |C|
+    over the cosets C where (c, a') e_C != 0."""
     p = field.p
     blocks = np.hstack([circulant_matrix(e) for e in coset_idempotents(field, m)])
     projected = gf_matmul(np.vstack([c, a_prime]), blocks, p)

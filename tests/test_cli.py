@@ -210,6 +210,13 @@ class TestConstruct:
             "--list-codewords", "--max-enum", "8",
         )
         assert rc == 3
+        # a limit past p^dim does not lift the int64 bound on message indices
+        rc, out, err = run_cli(
+            capsys, "construct", "--q", "4294967311", "--m", "2", "--a", "1,2,3,5",
+            "--a-prime", "1,7", "--list-codewords", "--max-enum", str(10**42),
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSweep:
@@ -281,9 +288,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("option", (("--trials", "abc"), ("--seed", "x"), ("--bogus",),
                                         ("--exact", "--max-enum", "-1"), ("--fullrank",),
-                                        ("--seed", "-1")))
+                                        ("--seed", "-1"), ("--exact", "--trials", "0"),
+                                        ("--fullrank", "--exact", "--trials", "-3")))
     def test_bad_option_exits_2(self, capsys, option):
-        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", "--delta", "0.1", *option)
+        # --trials is checked in every mode; --fullrank is run without --delta
+        delta = () if option[:2] == ("--fullrank", "--exact") else ("--delta", "0.1")
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "2", *delta, *option)
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -443,7 +453,12 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", (("--scan-m", "-5..3"), ("--m", "x"), ("--scan-m",)))
+    @pytest.mark.parametrize("argv", (("--scan-m", "-5..3"), ("--m", "x"), ("--scan-m",),
+                                      ("--scan-m", "2..3", "--m", "5"),
+                                      ("--scan-m", "2..3", "--delta", "0.05"),
+                                      ("--scan-m", "2..3", "--ideals"),
+                                      ("--m", "5", "--delta", "0.05", "--ideals", "--scan-m",
+                                       "2..3")))
     def test_bad_option_exits_2(self, capsys, argv):
         # a value that starts with "-" reads as an option: --scan-m=-5..3 passes it
         rc, out, err = run_cli(capsys, "bounds", "--q", "3", *argv)

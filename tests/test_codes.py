@@ -284,12 +284,14 @@ def kept_rows_cases():
 
 class TestKeptRows:
     def test_scan_keeps_the_first_dim_rows(self):
+        # construct_code and ideal_basis take the first dim rows as a basis
         dims = set()
         for a, ap in kept_rows_cases():
             code = construct_code(a, ap)
-            kept, rref = leading_independent_rows(span_matrix(a, ap), code.field.p)
-            assert kept == list(range(code.dim))
-            assert np.array_equal(rref, code.rref)
+            span, p = span_matrix(a, ap), code.field.p
+            (dim,), (rref,) = leading_independent_rows(span[None], p)
+            assert gf_rank(span[:dim], p) == dim == code.dim == gf_rank(span, p)
+            assert np.array_equal(rref[:dim], code.rref)
             # the rank agrees with the polynomial description
             assert code.h.degree == code.dim
             assert code.g * code.h == Poly.x_pow_minus_one(code.field, 2 * code.m)
@@ -454,13 +456,6 @@ class TestStackedScan:
         # both kinds occur: the w-projection spans the code or falls short of it
         assert {w == d for w, d in zip(w_ranks, dims.tolist())} == {True, False}
         self.assert_codes_match(field, c, a_prime)
-
-    def test_stack_of_one_is_a_2d_call(self):
-        mat = span_stack(F3, *orbit_pairs(F3, 5))[-1]
-        kept, rref = leading_independent_rows(mat, 3)
-        dims, rrefs = leading_independent_rows(mat[None], 3)
-        assert kept == list(range(dims[0]))
-        assert np.array_equal(rref, rrefs[0, : dims[0]])
 
     def test_exact_sweep_scans_at_most_trial_block_codes_at_once(self, monkeypatch):
         stacks = []

@@ -1,6 +1,7 @@
 """Restricted-pair sampling and exact / Monte-Carlo probability tests."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,7 @@ from qc15.algebra import (
     min_factor_degree,
 )
 from qc15.bounds import ideal_expectation_bound
-from qc15.codes import construct_code, generator_poly
+from qc15.codes import circulant_matrix, construct_code, generator_poly, gf_rank
 from qc15.ensemble import (
     TRIAL_BLOCK,
     _pair_source,
@@ -29,6 +30,7 @@ from qc15.ensemble import (
     exact_fullrank_prob,
     exact_low_weight_fraction,
     fullrank_census,
+    ideal_basis,
     ideal_dim,
     ideal_elements,
     mc_delta_prob,
@@ -164,8 +166,6 @@ class TestIdealDim:
         assert ideal_dim(RingElement.one(F3, 4)) == 4
 
     def test_matches_brute_force_span(self):
-        import random
-
         rnd = random.Random(17)
         for _ in range(40):
             n = rnd.choice((2, 4, 5, 6))
@@ -176,6 +176,27 @@ class TestIdealDim:
                 span.add((f * b).coeffs)
             assert len(span) == 3 ** ideal_dim(b)
             assert {tuple(int(c) for c in row) for row in ideal_elements(b)} == span
+
+    @pytest.mark.parametrize("q, ms", ((3, (2, 3, 5, 9)), (5, (3, 5)), (7, (4, 7))))
+    def test_scan_rule_matches_gcd_and_rank(self, q, ms):
+        # n = m and 2m, among them n not coprime to q, where R_n is not
+        # semisimple: b times random factors of X^n - 1, to reach many dims
+        field, rnd = PrimeField(q), random.Random(q)
+        for n in (n for m in ms for n in (m, 2 * m)):
+            target = Poly.x_pow_minus_one(field, n)
+            factors = [Poly(field, (1, 1))] + [
+                Poly.x_pow_minus_one(field, d) for d in range(1, n) if n % d == 0]
+            dims = set()
+            for _ in range(12):
+                b = RingElement(field, n, tuple(rnd.randrange(q) for _ in range(n)))
+                for _ in range(rnd.randrange(4)):
+                    b = b * RingElement.from_poly(rnd.choice(factors), n)
+                dim, basis = ideal_dim(b), ideal_basis(b)
+                assert dim == n - b.lift().gcd(target).degree  # the gcd rule it replaced
+                assert dim == gf_rank(circulant_matrix(b), q) == gf_rank(basis, q)
+                assert np.array_equal(basis, circulant_matrix(b)[:dim])
+                dims.add(dim)
+            assert len(dims) > 1
 
     def test_elements_limit(self):
         b = j_plus_generator(4)  # 27 elements

@@ -1,7 +1,9 @@
 """Exact arithmetic over GF(p), polynomials, and the quotient rings R_n = GF(p)[X]/(X^n - 1).
 
-Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+Ring arithmetic is Poly arithmetic on the lifts, reduced by X^n = 1 in
+RingElement.from_poly; Poly.__mul__ holds the one product loop. Everything
+here is immutable after construction and all operations are pure functions,
+so values can be shared freely across threads.
 
 Polynomial coefficients are stored in ascending order (constant term first),
 matching the word identification (a_0, a_1, ..., a_{n-1}).
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import (
@@ -195,42 +198,33 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.p
-        return Poly(self.field, tuple(out))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly(self.field, tuple(map(sum, pairs)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        p = self.field.p
-        return Poly(self.field, tuple((-c) % p for c in self.coeffs))
+        return Poly(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
+        """The one product loop: zero terms skipped, sums reduced by __post_init__."""
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        p = self.field.p
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return Poly(self.field, tuple(out))
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Poly":
-        p = self.field.p
-        c %= p
-        return Poly(self.field, tuple((c * a) % p for a in self.coeffs))
+        c %= self.field.p
+        return Poly(self.field, tuple(c * a for a in self.coeffs))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
@@ -239,9 +233,6 @@ class Poly:
         rem = list(self.coeffs)
         quot = _reduce(rem, other.coeffs, self.field.p)
         return Poly(self.field, tuple(quot)), Poly(self.field, tuple(rem))
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -315,11 +306,11 @@ class RingElement:
 
     @classmethod
     def from_poly(cls, poly: Poly, n: int) -> "RingElement":
-        """Reduce a polynomial mod X^n - 1 by folding exponents mod n."""
+        """Reduce a polynomial mod X^n - 1 by folding exponents mod n: the one
+        place X^n = 1 is applied. __post_init__ reduces the sums mod p."""
         out = [0] * n
-        p = poly.field.p
         for k, c in enumerate(poly.coeffs):
-            out[k % n] = (out[k % n] + c) % p
+            out[k % n] += c
         return cls(poly.field, n, tuple(out))
 
     @classmethod
@@ -354,42 +345,25 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        p = self.field.p
-        return RingElement(
-            self.field, self.n, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return RingElement.from_poly(self.lift() + other.lift(), self.n)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        p = self.field.p
-        return RingElement(
-            self.field, self.n, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return RingElement.from_poly(self.lift() - other.lift(), self.n)
 
     def __neg__(self) -> "RingElement":
-        p = self.field.p
-        return RingElement(self.field, self.n, tuple((-a) % p for a in self.coeffs))
+        return RingElement.from_poly(-self.lift(), self.n)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        n = self.n
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [0] * (2 * n)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[i + j] += a * b
-        # X^n = 1 folds the top half down; __post_init__ reduces mod p
-        return RingElement(self.field, n, tuple([x + y for x, y in zip(out, out[n:])]))
+        return RingElement.from_poly(self.lift() * other.lift(), self.n)
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "RingElement":
-        p = self.field.p
-        c %= p
-        return RingElement(self.field, self.n, tuple((c * a) % p for a in self.coeffs))
+        return RingElement.from_poly(self.lift().scale(c), self.n)
 
     def shift(self, k: int = 1) -> "RingElement":
         """Multiply by X^k: a cyclic right rotation of the coefficient vector."""

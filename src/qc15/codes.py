@@ -75,18 +75,22 @@ class Word:
 # -- GF(p) matrix helpers --------------------------------------------------------
 
 
+def _gf_dtype(p: int, terms: int = 1) -> type:
+    """int64 where a sum of `terms` products of two residues fits, else object ints."""
+    return np.int64 if (p - 1) ** 2 * terms < 2**63 else object
+
+
 def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p for entries in [0, p), in int64; object ints where a
-    dot product could overflow int64."""
-    if (p - 1) ** 2 * a.shape[1] < 2**63:
-        return a.astype(np.int64) @ b.astype(np.int64) % p
-    return np.mod(a.astype(object) @ b.astype(object), p).astype(np.int64)
+    """Exact (A @ B) mod p for entries in [0, p), as int64; a dot product is a sum
+    of a.shape[1] terms."""
+    dtype = _gf_dtype(p, a.shape[1])
+    return np.mod(a.astype(dtype) @ b.astype(dtype), p).astype(np.int64, copy=False)
 
 
 def gf_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (R, pivot_columns), zero rows dropped.
-    Computed in int64 where a product of two entries fits, else in object ints."""
-    m = np.array(mat, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p
+    Computed in _gf_dtype(p): a product of two entries must fit."""
+    m = np.array(mat, dtype=_gf_dtype(p)) % p
     n_rows, n_cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -123,7 +127,7 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     On the span of a cyclic module, circ(b) or a code's, they are the first
     dims[b] rows (construct_code says why): a basis.
     """
-    work = np.array(mat, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p  # as gf_rref
+    work = np.array(mat, dtype=_gf_dtype(p)) % p
     (count, n_rows, n_cols), at = work.shape, np.arange(len(work))
     order = np.tile(n_cols + np.arange(n_rows), (count, 1))  # pivot if kept, else past all
     for i in range(n_rows):
@@ -195,12 +199,13 @@ class DistanceResult(NamedTuple):
     relative: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Qc15Code:
     """An index-1½ quasi-cyclic code with its derived parameters.
 
     Immutable after construction, but for the memo `lightest`, which only
-    saves rescans; all methods are pure.
+    saves rescans; all methods are pure. A code compares and hashes by
+    identity, since different pairs can span the same code.
     """
 
     field: PrimeField
@@ -209,10 +214,10 @@ class Qc15Code:
     a_prime: RingElement
     dim: int
     gen_matrix: np.ndarray = dc_field(repr=False)
-    rref: np.ndarray = dc_field(repr=False, compare=False)  # RREF of gen_matrix
+    rref: np.ndarray = dc_field(repr=False)  # RREF of gen_matrix
     # (cap, lightest_word_weight(cap)) of the widest scan so far; (0, 1) holds
     # for every nonzero code
-    lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False, compare=False)
+    lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False)
 
     @cached_property
     def g(self) -> Poly:

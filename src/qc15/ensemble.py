@@ -178,15 +178,14 @@ def _weight_histogram(rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(np.count_nonzero(rows, axis=1), minlength=n + 1)
 
 
-def _require_restricted(b: RingElement) -> int:
+def _require_restricted(b: RingElement) -> tuple[int, ...]:
+    """The c with b = c || c and sum(c) = 0 mod p: b is a multiple of (X^m + 1)(X - 1)."""
     if b.n % 2 != 0:
         raise ValueError(f"b must live in R_2m, got co-length {b.n}")
-    m = b.n // 2
-    lift = b.lift()
-    if not b.is_zero():
-        if not Poly.x_pow_plus_one(b.field, m).divides(lift) or lift.evaluate(1) != 0:
-            raise ValueError("b is not a multiple of (X^m + 1)(X - 1)")
-    return m
+    c = b.coeffs[: b.n // 2]
+    if c != b.coeffs[b.n // 2 :] or sum(c) % b.field.p:
+        raise ValueError("b is not a multiple of (X^m + 1)(X - 1)")
+    return c
 
 
 def exact_low_weight_fraction(
@@ -197,27 +196,23 @@ def exact_low_weight_fraction(
 
     The pushforward of the uniform pair through multiplication by b is uniform
     on the product of the two ideals generated by b, so the probability is a
-    plain count over that product; the two weight histograms are convolved
-    instead of enumerating the product itself.
+    plain count over that product. For b = c || c they are {g || g : g in <c>}
+    and <b mod X^m - 1> = <c>, so a pair (g, g') of <c> weighs 2 wt(g) + wt(g'),
+    and the weight histogram of <c> is convolved with itself.
     """
-    m = _require_restricted(b)
+    c = _require_restricted(b)
+    m, p = len(c), b.field.p
     t = weight_threshold(m, delta)
-    if b.is_zero() or t < 1:
+    if not any(c) or t < 1:
         return Fraction(0)
-    b_m = b.fold_to(m)
-    d1, d2 = ideal_dim(b), ideal_dim(b_m)
-    p = b.field.p
-    if p ** (d1 + d2) > limit:
-        raise EnumerationTooLarge(f"|image| = {p ** (d1 + d2)} exceeds the limit {limit}")
-    h1 = _weight_histogram(ideal_elements(b, limit), 2 * m)
-    h2 = _weight_histogram(ideal_elements(b_m, limit), m)
-    prefix2 = np.cumsum(h2)
-    count = 0
-    for w1 in range(0, min(t, 2 * m) + 1):
-        cap = min(t - w1, m)
-        count += int(h1[w1]) * int(prefix2[cap])
-    count -= 1  # the zero-zero pair has weight 0, excluded by "1 <= w"
-    return Fraction(count, p ** (d1 + d2))
+    basis = ideal_basis(RingElement(b.field, m, c))
+    total = p ** (2 * len(basis))
+    if total > limit:
+        raise EnumerationTooLarge(f"|image| = {total} exceeds the limit {limit}")
+    hist = _weight_histogram(np.concatenate(list(codeword_blocks(basis, p))), m)
+    prefix = np.cumsum(hist)
+    count = sum(int(hist[w]) * int(prefix[min(t - 2 * w, m)]) for w in range(min(t // 2, m) + 1))
+    return Fraction(count - 1, total)  # the zero pair has weight 0, excluded by "1 <= w"
 
 
 # -- reports -----------------------------------------------------------------------------

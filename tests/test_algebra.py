@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qc15.algebra import (
@@ -268,6 +269,32 @@ class TestRingElement:
         assert v.fold_to(2).coeffs == (1, 2)  # 2+2=4=1, 1+1=2
         with pytest.raises(RingMismatch):
             v.fold_to(3)
+
+
+class TestRingOracle:
+    """RingElement computes through Poly; these check it against numpy in
+    object ints: a * b is the row vector a times circulant_matrix(b), and +,
+    -, unary - and scale act elementwise, all mod p."""
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 1009, 4294967311))
+    def test_matches_numpy(self, p):
+        field = PrimeField(p)
+        rnd = random.Random(p)
+        for _ in range(60):
+            n = rnd.randrange(1, 13)
+            density = rnd.choice((1.0, 0.25, 0.0))  # random, sparse, zero
+            x, y = (
+                RingElement(field, n, tuple(rnd.randrange(p) if rnd.random() < density else 0
+                                            for _ in range(n)))
+                for _ in range(2)
+            )
+            u, v = (np.array(e.coeffs, dtype=object) for e in (x, y))
+            k = rnd.randrange(-p, 2 * p)
+            assert (x * y).coeffs == tuple(u @ circulant_matrix(y).astype(object) % p)
+            assert (x * k).coeffs == x.scale(k).coeffs == tuple(u * k % p)
+            assert (x + y).coeffs == tuple((u + v) % p)
+            assert (x - y).coeffs == tuple((u - v) % p)
+            assert (-x).coeffs == tuple(-u % p)
 
 
 class TestCrt:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -249,6 +250,18 @@ class TestSweep:
         assert rows[0]["mode"] == "montecarlo"
         assert rows[0]["seed"] == "7"
         assert 0.0 <= float(rows[0]["estimate"]) <= 1.0
+
+    def test_m11_montecarlo_within_4_se_of_exact(self, capsys):
+        # 1 - Pr(d <= 0.3) from `sweep --q 3 --m 11 --delta 0.3 --exact
+        # --max-enum 4000000000`: 1,891,617,684 hits in 3^20 pairs
+        exact = 1 - 1_891_617_684 / 3**20
+        rc, out, _ = run_cli(
+            capsys, "sweep", "--q", "3", "--m", "11", "--delta", "0.3",
+            "--trials", "500", "--seed", "42",
+        )
+        (row,) = parse_csv(out)
+        assert rc == 0 and row["mode"] == "montecarlo"
+        assert abs(float(row["estimate"]) - exact) <= 4 * math.sqrt(exact * (1 - exact) / 500)
 
     def test_exact_fallback_warning(self, capsys):
         rc, out, _ = run_cli(

@@ -4,14 +4,16 @@ The two worked examples over GF(3) with m = 2 are used as golden cases: their
 generator matrices and full codeword sets are pinned here verbatim.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
 
 from qc15 import codes
-from qc15.algebra import Poly, PrimeField, RingElement
+from qc15.algebra import Poly, PrimeField, RingElement, is_prime
 from qc15.codes import (
     Qc15Code,
     Word,
@@ -243,6 +245,14 @@ class TestConstructCode:
         assert code.dim == 0
         assert code.gen_matrix.shape == (0, 6)
 
+    def test_compares_and_hashes_by_identity(self):
+        # two builds of one pair are two codes; different pairs can span one code
+        code, twin = example1(), example1()
+        assert code == code and code != twin
+        assert hash(code) == hash(code)
+        assert len({code, twin, code}) == 2
+        assert code in {code} and twin not in {code}
+
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             construct_code(RingElement.one(F3, 6), RingElement.one(F3, 3))
@@ -375,6 +385,33 @@ class TestGfRref:
             expected = gauss_jordan(mat.tolist(), p)
             assert rref.dtype == np.int64 and rref.tolist() == expected
             assert gf_rank(mat, p) == len(pivots) == len(expected)
+
+
+INT64_EDGE = math.isqrt(2**63 - 1) + 1  # (p - 1)^2 < 2^63 iff p <= INT64_EDGE
+P_BELOW = next(p for p in range(INT64_EDGE, 2, -1) if is_prime(p))
+P_ABOVE = next(p for p in count(INT64_EDGE + 1) if is_prime(p))
+
+
+class TestOverflowBoundary:
+    """At P_BELOW a product of two residues fits int64 and a sum of two does
+    not; at P_ABOVE neither does. gf_matmul, gf_rref and the row scan must
+    match plain Python on both sides, with entries near p for the largest
+    products."""
+
+    @pytest.mark.parametrize("p", (P_BELOW, P_ABOVE))
+    def test_matches_plain_python(self, p):
+        rng = np.random.default_rng(p % 1000)
+        mat = p - 1 - rng.integers(0, 4, size=(4, 5))
+        mat = np.vstack([mat, (mat[0] + mat[1]) % p])  # a dependent row
+        expected = gauss_jordan(mat.tolist(), p)
+        assert gf_rref(mat, p)[0].tolist() == expected
+        (dim,), (rref,) = leading_independent_rows(mat[None], p)
+        assert dim == len(expected) and rref[:dim].tolist() == expected
+        for inner in (1, 2):
+            a, b = mat[:, :inner], mat[:inner]
+            product = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
+                       for row in a.tolist()]
+            assert gf_matmul(a, b, p).tolist() == product
 
 
 def span_stack(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:

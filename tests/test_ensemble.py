@@ -4,12 +4,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
 import pytest
 
+from qc15 import ensemble
 from qc15.algebra import (
     Poly,
     PrimeField,
@@ -205,6 +206,29 @@ class TestIdealDim:
             ideal_elements(b, limit=26)
 
 
+def two_ideal_formula(b: RingElement):
+    """exact_low_weight_fraction(b, delta, limit) as a function of (delta,
+    limit), over <b> in R_2m and <b mod X^m - 1> in R_m as two ideals, each
+    enumerated: the oracle for the one-ideal form."""
+    m = b.n // 2
+    sides = [ideal_elements(b), ideal_elements(b.fold_to(m))]
+    total = len(sides[0]) * len(sides[1])
+    h1, h2 = (np.bincount(np.count_nonzero(rows, axis=1), minlength=rows.shape[1] + 1)
+              for rows in sides)
+    prefix2 = np.cumsum(h2)
+
+    def fraction(delta, limit: int) -> Fraction:
+        t = weight_threshold(m, delta)
+        if b.is_zero() or t < 1:
+            return Fraction(0)
+        if total > limit:
+            raise EnumerationTooLarge(f"|image| = {total} exceeds the limit {limit}")
+        count = sum(int(h1[w]) * int(prefix2[min(t - w, m)]) for w in range(min(t, 2 * m) + 1))
+        return Fraction(count - 1, total)
+
+    return fraction
+
+
 class TestExactLowWeightFraction:
     def test_zero_generator(self):
         assert exact_low_weight_fraction(RingElement.zero(F3, 4), 0.3) == 0
@@ -259,8 +283,41 @@ class TestExactLowWeightFraction:
             exact_low_weight_fraction(b, "0.5", limit=728)
 
     def test_rejects_unrestricted_generator(self):
-        with pytest.raises(ValueError):
-            exact_low_weight_fraction(RingElement.one(F3, 4), 0.3)
+        # 1; 1 + X^2 = c || c with sum(c) != 0; 1 + 2X with b(1) = 0 but not c || c
+        for text in ("1", "1,0,1", "1,2"):
+            with pytest.raises(ValueError, match=r"not a multiple of \(X\^m \+ 1\)\(X - 1\)"):
+                exact_low_weight_fraction(RingElement.from_text(F3, 4, text), 0.3)
+        with pytest.raises(ValueError, match="b must live in R_2m, got co-length 5"):
+            exact_low_weight_fraction(RingElement.one(F3, 5), 0.3)
+
+    @pytest.mark.parametrize("q, ms", ((3, (2, 4, 5)), (5, (2, 3)), (7, (2, 3))))
+    def test_matches_two_ideal_formula(self, q, ms):
+        def outcome(fraction, delta, limit):
+            try:
+                return fraction(delta, limit)
+            except EnumerationTooLarge as exc:
+                return str(exc)
+
+        deltas = ("0.05", "0.1", "0.2", Fraction(1, 3), "0.5", "0.7", 1)
+        cases = [(delta, 2**24) for delta in deltas] + [(1, limit) for limit in (1, 81, 6561)]
+        for m in ms:
+            a_list, _ = restricted_elements(PrimeField(q), m)
+            for b in a_list:
+                oracle = two_ideal_formula(b)
+                for delta, limit in cases:
+                    ours = outcome(partial(exact_low_weight_fraction, b), delta, limit)
+                    assert ours == outcome(oracle, delta, limit)
+
+    def test_one_row_scan_per_call(self, monkeypatch):
+        a_list, _ = restricted_elements(F3, 5)
+        calls = []
+        scan = ensemble.leading_independent_rows
+        monkeypatch.setattr(ensemble, "leading_independent_rows",
+                            lambda *args: calls.append(args) or scan(*args))
+        nonzero = [b for b in a_list if not b.is_zero()]
+        for b in nonzero:
+            assert exact_low_weight_fraction(b, "0.3") > 0
+        assert len(calls) == len(nonzero) == 80
 
     def test_both_ideals_share_one_dimension(self):
         # <b> in R_2m and <b mod X^m - 1> in R_m carve out the same factor set

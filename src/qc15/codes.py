@@ -10,7 +10,8 @@ Construction is one scan of the span matrix (the 2m circulant rows), run over
 a whole stack of codes at once: dim is its rank, the rows it keeps are the
 generator matrix. The same scan of circ(b) gives the dimension and basis of
 any ideal <b> of R_n (ensemble.ideal_basis), at every n, and codeword_blocks
-enumerates the words of a code or an ideal from its basis. The polynomial
+enumerates the words of a code or an ideal from its basis. One weighted-pivot
+scan answers a stack's threshold queries (lightest_word_weights). The polynomial
 description, two complementary monic divisors of X^{2m}-1 (a generator
 polynomial g and a check polynomial h with g*h = X^{2m}-1 and dim = deg h),
 is derived from (a, a') when g or h is first read.
@@ -36,7 +37,7 @@ from .errors import (
 )
 
 DEFAULT_ENUM_LIMIT = 2**24
-MESSAGE_BLOCK = 1 << 15  # messages encoded at a time by codeword_blocks
+PRODUCT_BLOCK = 1 << 14  # entries per product mod p: one BLAS thread, arrays below 128 KiB
 
 
 # -- words ---------------------------------------------------------------------
@@ -81,8 +82,11 @@ def _gf_dtype(p: int, terms: int = 1) -> type:
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p for entries in [0, p), as int64; a dot product is a sum
-    of a.shape[1] terms."""
+    """Exact (A @ B) mod p for entries in [0, p), as int64: a float64 BLAS product
+    where a sum of a.shape[1] terms stays below 2^53 (exact there), else in _gf_dtype."""
+    if (p - 1) ** 2 * a.shape[1] < 2**53:
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return np.remainder(out, p, out=out)
     dtype = _gf_dtype(p, a.shape[1])
     return np.mod(a.astype(dtype) @ b.astype(dtype), p).astype(np.int64, copy=False)
 
@@ -298,9 +302,7 @@ class Qc15Code:
         self, max_weight: int, limit: int = DEFAULT_ENUM_LIMIT
     ) -> bool:
         """Whether some nonzero codeword has Hamming weight <= max_weight."""
-        if self.dim == 0 or max_weight < 1:
-            return False
-        if max_weight >= self.length:
+        if self.dim and max_weight >= self.length:
             return True
         return self.lightest_word_weight(max_weight, limit) <= max_weight
 
@@ -309,43 +311,14 @@ class Qc15Code:
         cap + 1 when every nonzero codeword is heavier than cap (and for the
         zero code, which has none).
 
-        Uses a weighted pivot argument on the reduced row echelon form R of
-        the generator matrix. A column of R whose only nonzero entry sits in
-        row r is a multiple of pivot column r, so the codeword y @ R is
-        nonzero there exactly when y_r is. With mult[r] such columns in row
-        r, those columns carry sum(mult[r] for y_r != 0) of the weight of
-        y @ R, so every word of weight <= cap comes from a message where that
-        sum is <= cap, and the lightest of those messages' words, capped at
-        cap + 1, is the answer; the product is taken over the other columns
-        only. On a restricted pair every pivot of the u-part has its copy,
-        mult = 2, so the message weight cap roughly halves. This is what
-        makes threshold queries fast at co-indexes where a full p^dim sweep
-        is not.
-
-        The limit applies to the count of messages of plain weight <= cap,
-        an upper bound on the candidates tried; it is checked on every call.
-        The code keeps the result of its widest scan, and answers any cap up
-        to that one from it.
+        The batch of one of lightest_word_weights. The limit bounds the count
+        of messages of plain weight <= cap, and is checked on every call; a
+        cap up to the widest scanned is answered from the memo.
         """
-        if self.dim == 0 or cap < 1:
-            return cap + 1
-        p = self.field.p
-        n_cand = low_weight_message_count(p, self.dim, min(cap, self.dim))
-        if n_cand > limit:
-            raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
-        kept_cap, kept = self.lightest
-        if cap <= kept_cap:
-            return min(kept, cap + 1)
-        nonzero = self.rref != 0
-        single = nonzero.sum(axis=0) == 1
-        mult = nonzero[:, single].sum(axis=1)
-        order = np.argsort(mult, kind="stable")  # one cache entry per multiset of mult
-        cand = low_weight_messages(p, tuple(mult[order].tolist()), cap)
-        words = gf_matmul(cand, self.rref[order][:, ~single], p)
-        weights = (cand != 0) @ mult[order] + np.count_nonzero(words, axis=1)
-        lightest = int(weights.min(initial=cap + 1))
-        object.__setattr__(self, "lightest", (cap, lightest))
-        return lightest
+        if self.dim and cap > self.lightest[0]:
+            return lightest_word_weights([self], cap, limit)[0]
+        _check_candidates(self.field.p, [self.dim], cap, limit)
+        return min(self.lightest[1], cap + 1) if self.dim else cap + 1
 
     def to_json_dict(self, distance: DistanceResult | None = None) -> dict:
         doc = {
@@ -403,19 +376,75 @@ def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> l
             for x, y, d, gen, rref in zip(c.tolist(), a_prime.tolist(), dims, gens, rrefs)]
 
 
+def _check_candidates(p: int, dims: Sequence[int], cap: int, limit: int) -> None:
+    """Raise for the first dim whose messages of plain weight <= cap exceed the limit."""
+    for dim in dict.fromkeys(dims):
+        n_cand = low_weight_message_count(p, dim, min(cap, dim))
+        if n_cand > limit:
+            raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
+
+
+def lightest_word_weights(
+    codes: Sequence[Qc15Code], cap: int, limit: int = DEFAULT_ENUM_LIMIT
+) -> list[int]:
+    """lightest_word_weight(cap, limit) of each code of a stack over one field;
+    the codes whose memo is narrower than cap are scanned and keep the result.
+
+    The scan is a weighted pivot argument on the RREF R of each code. A column
+    of R whose only nonzero entry sits in row r is a multiple of pivot column
+    r, so y @ R is nonzero there exactly when y_r is. With mult[r] such
+    columns in row r, they carry sum(mult[r] for y_r != 0) of the weight of
+    y @ R, so every word of weight <= cap comes from a message where that sum
+    is <= cap (low_weight_messages), and the product is taken over the other
+    columns only; on a restricted pair mult = 2 on the u-part's pivots. The
+    codes of one RREF shape are grouped by sorted mult, sharing one candidate
+    block, whose product is taken against the group's non-single columns (as
+    many per code) side by side, in blocks of about PRODUCT_BLOCK entries.
+    """
+    p = codes[0].field.p if codes else 0
+    _check_candidates(p, [code.dim for code in codes], cap, limit)
+    todo = [code for code in codes if code.dim and cap > code.lightest[0]]
+    for shape in dict.fromkeys(code.rref.shape for code in todo):
+        same = [code for code in todo if code.rref.shape == shape]
+        (dim, length), rref = shape, np.stack([code.rref for code in same])
+        single = (rref != 0).sum(axis=1) == 1
+        mult = ((rref != 0) & single[:, None]).sum(axis=2)
+        rows = np.argsort(mult, axis=1, kind="stable")
+        # the non-single columns first, as many as the widest code has
+        cols = np.argsort(single, axis=1, kind="stable")[:, : length - single.sum(axis=1).min()]
+        rest = rref[np.arange(len(same))[:, None, None], rows[:, :, None], cols[:, None, :]]
+        keys = [tuple(key) for key in np.take_along_axis(mult, rows, axis=1).tolist()]
+        for key in dict.fromkeys(keys):
+            group = [i for i, k in enumerate(keys) if k == key]
+            width = length - sum(key)  # every single column counts once in mult
+            side_by_side = rest[group, :, :width].transpose(1, 0, 2).reshape(dim, -1)
+            cand = low_weight_messages(p, key, cap)
+            base, best = (cand != 0) @ np.array(key), np.full(len(group), cap + 1)
+            step = max(1, PRODUCT_BLOCK // max(side_by_side.shape[1], 1))
+            for lo in range(0, len(cand), step):
+                words = gf_matmul(cand[lo : lo + step], side_by_side, p)
+                weights = base[lo : lo + step, None] + np.count_nonzero(
+                    words.reshape(len(words), len(group), width), axis=2)
+                best = np.minimum(best, weights.min(axis=0))
+            for i, lightest in zip(group, best.tolist()):
+                object.__setattr__(same[i], "lightest", (cap, lightest))
+    return [min(code.lightest[1], cap + 1) if code.dim else cap + 1 for code in codes]
+
+
 # -- message enumeration helpers --------------------------------------------------
 
 
 def codeword_blocks(gen: np.ndarray, p: int) -> Iterator[np.ndarray]:
     """The words y @ gen mod p for all p^k messages y in F^k, k = len(gen), in
-    blocks of MESSAGE_BLOCK rows; message index i has digits y_j = (i // p^j) % p,
-    so index 0 is the zero word (the only one when k = 0)."""
+    blocks of about PRODUCT_BLOCK entries; message index i has digits
+    y_j = (i // p^j) % p, so index 0 is the zero word (the only one when k = 0)."""
     k, total = len(gen), p ** len(gen)
     if total >= 2**63:
         raise EnumerationTooLarge(f"{total} messages exceed the int64 message index")
     radix = np.array([p**j for j in range(k)], dtype=np.int64)
-    for start in range(0, total, MESSAGE_BLOCK):
-        idx = np.arange(start, min(start + MESSAGE_BLOCK, total), dtype=np.int64)
+    step = max(1, PRODUCT_BLOCK // gen.shape[1])  # messages per block
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
         yield gf_matmul((idx[:, None] // radix[None, :]) % p, gen, p)
 
 

@@ -24,7 +24,7 @@ Every experiment runs one event over one pair source of stacks of at most
 TRIAL_BLOCK rows of c and of a', each standing for its unit orbit or, as a
 seeded sample, for itself. An event answers a stack with one bool column per
 report row: the distance event at each threshold, which builds a stack's
-codes at once and scans each once for all thresholds, or dim = m - 1
+codes at once and scans them together once for all thresholds, or dim = m - 1
 (restricted_dims, no code). One tally weights the answers by the sizes and
 counts zero codes; one builder makes an EnsembleReport of each row's counts.
 
@@ -66,11 +66,11 @@ from .algebra import (
 from .bounds import delta_prob_bound, qary_entropy
 from .codes import (
     DEFAULT_ENUM_LIMIT,
-    Qc15Code,
     circulant_matrix,
     codeword_blocks,
     gf_matmul,
     leading_independent_rows,
+    lightest_word_weights,
     low_weight_message_count,
     restricted_codes,
 )
@@ -364,17 +364,18 @@ def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
 
 def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     """Per threshold t in ts: some nonzero word has weight <= t; never true
-    of the zero code. A stack's codes are built by one restricted_codes call,
-    and each is asked the largest t first, so one scan answers every row."""
-    widest_first = sorted(set(ts), reverse=True)
+    of the zero code. A stack's codes are built by one restricted_codes call
+    and scanned at once at the widest t with 1 <= t < 3m (no other t needs a
+    scan), so each code answers every t from its memo."""
 
-    def holds(code: Qc15Code) -> list[bool]:
-        found = {t: code.has_word_of_weight_at_most(t, limit) for t in widest_first}
-        return [found[t] for t in ts]
+    def event(c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+        codes = restricted_codes(field, c, a_prime)
+        widest = max((t for t in ts if 1 <= t < 3 * c.shape[1]), default=0)
+        lightest_word_weights(codes, widest, limit)  # cap 0 scans nothing
+        return np.array([[code.has_word_of_weight_at_most(t, limit) for t in ts]
+                         for code in codes], dtype=bool).reshape(len(c), len(ts))
 
-    return lambda c, a_prime: np.array(
-        [holds(code) for code in restricted_codes(field, c, a_prime)], dtype=bool
-    ).reshape(len(c), len(ts))
+    return event
 
 
 def restricted_dims(field: PrimeField, m: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:

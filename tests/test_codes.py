@@ -25,6 +25,7 @@ from qc15.codes import (
     gf_rank,
     gf_rref,
     leading_independent_rows,
+    lightest_word_weights,
     restricted_codes,
     span_matrix,
 )
@@ -390,6 +391,10 @@ class TestGfRref:
 INT64_EDGE = math.isqrt(2**63 - 1) + 1  # (p - 1)^2 < 2^63 iff p <= INT64_EDGE
 P_BELOW = next(p for p in range(INT64_EDGE, 2, -1) if is_prime(p))
 P_ABOVE = next(p for p in count(INT64_EDGE + 1) if is_prime(p))
+FLOAT_EDGE = math.isqrt(2**53 - 1) + 1  # (p - 1)^2 < 2^53 iff p <= FLOAT_EDGE
+P53_BELOW = next(p for p in range(FLOAT_EDGE, 2, -1) if is_prime(p))
+P53_ABOVE = next(p for p in count(FLOAT_EDGE + 1) if is_prime(p))
+P20 = 1048573  # the largest prime below 2^20: (P20 - 1)^2 * 8192 < 2^53 <= (P20 - 1)^2 * 8193
 
 
 class TestOverflowBoundary:
@@ -412,6 +417,21 @@ class TestOverflowBoundary:
             product = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
                        for row in a.tolist()]
             assert gf_matmul(a, b, p).tolist() == product
+
+    # gf_matmul takes the float64 product while (p - 1)^2 * inner < 2^53: the
+    # first case of each p is on that side, the second just past it
+    @pytest.mark.parametrize("p, inner, in_float", (
+        (P53_BELOW, 1, True), (P53_BELOW, 2, False), (P53_ABOVE, 1, False),
+        (P20, 8192, True), (P20, 8193, False),
+    ))
+    def test_float64_edge_matches_plain_python(self, p, inner, in_float):
+        assert ((p - 1) ** 2 * inner < 2**53) == in_float
+        rng = np.random.default_rng(inner)
+        a = p - 1 - rng.integers(0, 8, size=(5, inner))  # odd and even entries near p
+        b = p - 1 - rng.integers(0, 8, size=(inner, 4))
+        product = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
+                   for row in a.tolist()]
+        assert gf_matmul(a, b, p).tolist() == product
 
 
 def span_stack(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
@@ -702,6 +722,137 @@ class TestLowWeightSearch:
 
     def test_threshold_at_length(self):
         assert example1().has_word_of_weight_at_most(6)
+
+
+def all_restricted_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every restricted pair (c, a') at q = 3, as two (3^(2(m-1)), m) stacks."""
+    left, right = restricted_elements(F3, m)
+    c = np.array([a.coeffs[:m] for a in left for _ in right])
+    return c, np.array([ap.coeffs for _ in left for ap in right])
+
+
+def distance_oracle(code: Qc15Code) -> float:
+    """d_min by min_distance, inf for the zero code; a code of dim 1 has the
+    scalar multiples of its one row as words, so d_min is that row's weight."""
+    if code.dim == 1:
+        return int(np.count_nonzero(code.gen_matrix))
+    return code.min_distance().distance if code.dim else math.inf
+
+
+class TestStackedThresholdScan:
+    """lightest_word_weights on whole stacks against min(d_min, cap + 1)."""
+
+    def assert_matches_oracle(self, field, c, a_prime, caps) -> list[Qc15Code]:
+        built = restricted_codes(field, c, a_prime)
+        distances = [distance_oracle(code) for code in built]
+        for cap in caps:
+            stack = restricted_codes(field, c, a_prime)  # empty memos
+            expected = [min(d, cap + 1) for d in distances]
+            assert lightest_word_weights(stack, cap) == expected
+            assert [code.lightest_word_weight(cap) for code in stack] == expected
+        return built
+
+    def test_every_restricted_pair_q3_m4_as_one_stack_at_every_cap(self):
+        c, a_prime = all_restricted_pairs(4)
+        built = self.assert_matches_oracle(F3, c, a_prime, range(13))
+        assert len(built) == 729 and {code.dim for code in built} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("q, m", ((5, 6), (7, 4), (P_LARGE, 2)))
+    def test_sampled_stacks_mixing_dims_with_the_zero_pair(self, q, m):
+        field = PrimeField(q)
+        c, a_prime = sampled_pairs(field, m, seed=q + 1)
+        e = circulant_matrix(coset_idempotents(field, m)[-1])
+        c[1::3], a_prime[1::3] = gf_matmul(c[1::3], e, q), gf_matmul(a_prime[1::3], e, q)
+        zero = np.zeros((1, m), dtype=np.int64)
+        c, a_prime = np.vstack([c, zero]), np.vstack([a_prime, zero])
+        built = self.assert_matches_oracle(field, c, a_prime, range(3 * m + 1))
+        dims = {code.dim for code in built}
+        assert 0 in dims and len(dims) >= (2 if m == 2 else 3)
+
+    def test_oracle_codes_one_stack_per_field(self):
+        # unrestricted pairs (mult 1), non-unit multiples of a pivot column
+        # (p = 1009) and codes of two lengths in one stack; each cap rescans
+        stacks = {}
+        for code in scan_oracle_codes():
+            stacks.setdefault(code.field, []).append(code)
+        for stack in stacks.values():
+            distances = [distance_oracle(code) for code in stack]
+            for cap in (1, 2, 4, 7):
+                assert lightest_word_weights(stack, cap) == [min(d, cap + 1) for d in distances]
+
+    def test_group_without_a_non_single_column(self, monkeypatch):
+        # a dim-1 code of full support at m = 2 has one row and every column
+        # single: its group's product has width 0
+        c, a_prime = np.array([[1, 2], [2, 1], [1, 2]]), np.array([[1, 2], [1, 2], [2, 1]])
+        stack = restricted_codes(F3, c, a_prime)
+        assert [code.min_distance().distance for code in stack] == [6, 6, 6]
+        widths = []
+        real = codes.gf_matmul
+        monkeypatch.setattr(codes, "gf_matmul",
+                            lambda a, b, p: widths.append(b.shape[1]) or real(a, b, p))
+        assert lightest_word_weights(stack, 6) == [6, 6, 6]
+        assert widths == [0]  # one product for the three codes
+
+    def test_blocks_of_one_entry(self, monkeypatch):
+        c, a_prime = (x[::4] for x in orbit_pairs(F3, 7))
+        distances = [distance_oracle(code) for code in restricted_codes(F3, c, a_prime)]
+        monkeypatch.setattr(codes, "PRODUCT_BLOCK", 1)
+        for cap in (2, 5, 9):
+            stack = restricted_codes(F3, c, a_prime)
+            assert lightest_word_weights(stack, cap) == [min(d, cap + 1) for d in distances]
+
+    def test_every_product_stays_within_product_block(self, monkeypatch):
+        # larger products run on several BLAS threads, which spin on after
+        # the call, and their arrays pass the 128 KiB allocation threshold
+        sizes = []
+        real = codes.gf_matmul
+        monkeypatch.setattr(codes, "gf_matmul",
+                            lambda a, b, p: sizes.append(len(a) * b.shape[1]) or real(a, b, p))
+        c, a_prime, _ = _sample_block(F3, 11, 7, 0, TRIAL_BLOCK)
+        stack = restricted_codes(F3, c, a_prime)
+        lightest_word_weights(stack, 9)
+        next(code for code in stack if code.dim == 10).min_distance()
+        assert len(sizes) > 100 and max(sizes) <= codes.PRODUCT_BLOCK
+
+    def test_limit_is_checked_once_per_dim_for_the_first_code_over_it(self, monkeypatch):
+        # at cap 2 over GF(3): dim 1 has 1 message of plain weight <= 2, dim 2
+        # has 4 and dim 3 has 9
+        c, a_prime = orbit_pairs(F3, 4)
+        stack = restricted_codes(F3, c, a_prime)
+        dims = [code.dim for code in stack]
+        assert set(dims) == {0, 1, 2, 3}
+        counted = []
+        real = codes.low_weight_message_count
+        monkeypatch.setattr(codes, "low_weight_message_count",
+                            lambda p, k, w: counted.append(k) or real(p, k, w))
+        low = [code for code in stack if code.dim < 3]
+        assert lightest_word_weights(low, 2, limit=4) == [
+            min(distance_oracle(code), 3) for code in low]
+        assert counted == list(dict.fromkeys(code.dim for code in low))
+        with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
+            lightest_word_weights(stack, 2, limit=4)
+        by_dim = {code.dim: code for code in stack}
+        for order, first in (((0, 1, 3), 1), ((0, 3, 1), 9)):
+            with pytest.raises(EnumerationTooLarge, match=f"^{first} candidate messages"):
+                lightest_word_weights([by_dim[d] for d in order], 2, limit=0)
+
+    def test_narrower_cap_after_a_stacked_call_runs_no_scan(self, monkeypatch):
+        c, a_prime = orbit_pairs(F3, 5)
+        stack = restricted_codes(F3, c, a_prime)
+        widest = lightest_word_weights(stack, 8)
+        assert all(code.lightest[0] == 8 for code in stack if code.dim)
+
+        def no_scan(*args):
+            raise AssertionError("scanned again")
+
+        monkeypatch.setattr(codes, "low_weight_messages", no_scan)
+        monkeypatch.setattr(codes, "gf_matmul", no_scan)
+        for cap in (8, 5, 1, 0):
+            expected = [min(w, cap + 1) for w in widest]
+            assert lightest_word_weights(stack, cap) == expected
+            assert [code.lightest_word_weight(cap) for code in stack] == expected
+        with pytest.raises(EnumerationTooLarge):  # memo hits still check the limit
+            lightest_word_weights(stack, 8, limit=10)
 
 
 class TestCodeInvariants:

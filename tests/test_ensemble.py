@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qc15 import ensemble
+from qc15 import codes, ensemble
 from qc15.algebra import (
     Poly,
     PrimeField,
@@ -367,6 +367,37 @@ class TestExactDeltaProb:
     def test_limit(self):
         with pytest.raises(EnumerationTooLarge):
             exact_delta_leq_prob(F3, 5, 0.1, limit=100)
+
+
+class TestDistanceEvent:
+    def test_one_stacked_scan_per_stack_at_the_widest_t_below_3m(self, monkeypatch):
+        scans = []
+        real = ensemble.lightest_word_weights
+        monkeypatch.setattr(ensemble, "lightest_word_weights",
+                            lambda stack, cap, limit: scans.append((len(stack), cap))
+                            or real(stack, cap, limit))
+        # at m = 5 the thresholds are t = 1, 4 and 15 = 3m, which needs no scan
+        mc_delta_probs(F3, 5, ["0.106", "0.3", "1"], TRIAL_BLOCK + 1, seed=3)
+        assert scans == [(TRIAL_BLOCK, 4), (1, 4)]
+
+    @pytest.mark.parametrize("delta, hits", (("1", 3**12 - 1), ("0.04", 0)))
+    def test_thresholds_outside_1_to_3m_scan_nothing(self, monkeypatch, delta, hits):
+        # t = 21 = 3m holds for every nonzero code and t = 0 for none
+        calls = []
+        real = codes.low_weight_messages
+        monkeypatch.setattr(codes, "low_weight_messages",
+                            lambda *args: calls.append(args) or real(*args))
+        (rep,) = exact_delta_leq_probs(F3, 7, [delta])
+        assert (rep.hits, calls) == (hits, [])
+
+    def test_every_answer_comes_from_the_per_code_query(self, monkeypatch):
+        # a refactor that answered the event without asking each code would
+        # leave these counts at their true values
+        monkeypatch.setattr(codes.Qc15Code, "has_word_of_weight_at_most",
+                            lambda self, max_weight, limit=None: False)
+        for rep in mc_delta_probs(F3, 5, ["0.106", "0.3"], 100, seed=42):
+            assert rep.hits == rep.trials
+        assert [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])] == [0, 0]
 
 
 class TestUnitOrbits:

@@ -233,25 +233,25 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--q", type=int, required=True, help="odd prime field size")
         p.add_argument("--max-enum", type=_int_at_least, default=DEFAULT_ENUM_LIMIT,
-                       help="enumeration ceiling, at least 0 (default 2^24)")
+                       help="most words, candidate messages or pairs one enumeration "
+                       "may count, at least 0 (default 2^24)")
 
-    p_con = sub.add_parser("construct", help="build a code from (a, a') and print JSON")
-    add_common(p_con)
-    p_con.add_argument("--m", type=int, required=True, help="co-index parameter")
-    p_con.add_argument("--a", type=str, required=True,
+    def add_pair(p: argparse.ArgumentParser):
+        add_common(p)
+        p.add_argument("--m", type=int, required=True, help="co-index parameter")
+        p.add_argument("--a", type=str, required=True,
                        help="ascending coefficients of a, e.g. 2,1,2,1")
-    p_con.add_argument("--a-prime", type=str, required=True, dest="a_prime",
+        p.add_argument("--a-prime", type=str, required=True, dest="a_prime",
                        help="ascending coefficients of a'")
-    p_con.add_argument("--distance", action="store_true", help="include the minimum distance")
-    p_con.add_argument("--list-codewords", action="store_true", dest="list_codewords",
+        p.add_argument("--list-codewords", action="store_true", dest="list_codewords",
                        help="include all codewords")
 
+    p_con = sub.add_parser("construct", help="build a code from (a, a') and print JSON")
+    add_pair(p_con)
+    p_con.add_argument("--distance", action="store_true", help="include the minimum distance")
+
     p_dist = sub.add_parser("distance", help="construct and always report the minimum distance")
-    add_common(p_dist)
-    p_dist.add_argument("--m", type=int, required=True)
-    p_dist.add_argument("--a", type=str, required=True)
-    p_dist.add_argument("--a-prime", type=str, required=True, dest="a_prime")
-    p_dist.add_argument("--list-codewords", action="store_true", dest="list_codewords")
+    add_pair(p_dist)
     p_dist.set_defaults(distance=True)
 
     p_sw = sub.add_parser("sweep", help="ensemble experiments, one CSV row per (m, delta)")

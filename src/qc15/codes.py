@@ -275,23 +275,16 @@ class Qc15Code:
 
     def codewords(self, limit: int = DEFAULT_ENUM_LIMIT) -> set[Word]:
         """The full codeword set, of size exactly p^dim."""
-        p = self.field.p
-        total = p**self.dim
-        if total > limit:
-            raise EnumerationTooLarge(f"{total} codewords exceed the limit {limit}")
         return {Word(self.m, tuple(int(c) for c in row))
-                for block in codeword_blocks(self.gen_matrix, p) for row in block}
+                for block in codeword_blocks(self.gen_matrix, self.field.p, limit)
+                for row in block}
 
     def min_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> DistanceResult:
         """Exact minimum Hamming weight by exhausting all p^dim codewords."""
         if self.dim == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
-        p = self.field.p
-        total = p**self.dim
-        if total > limit:
-            raise EnumerationTooLarge(f"{total} codewords exceed the limit {limit}")
         best = self.length + 1
-        for block in codeword_blocks(self.gen_matrix, p):
+        for block in codeword_blocks(self.gen_matrix, self.field.p, limit):
             weights = np.count_nonzero(block, axis=1)
             best = int(weights[weights > 0].min(initial=best))  # rows independent: y = 0 alone
             if best == 1:
@@ -311,14 +304,10 @@ class Qc15Code:
         cap + 1 when every nonzero codeword is heavier than cap (and for the
         zero code, which has none).
 
-        The batch of one of lightest_word_weights. The limit bounds the count
-        of messages of plain weight <= cap, and is checked on every call; a
-        cap up to the widest scanned is answered from the memo.
+        The batch of one of lightest_word_weights, so a cap up to the widest
+        scanned is answered from the memo and checks no limit.
         """
-        if self.dim and cap > self.lightest[0]:
-            return lightest_word_weights([self], cap, limit)[0]
-        _check_candidates(self.field.p, [self.dim], cap, limit)
-        return min(self.lightest[1], cap + 1) if self.dim else cap + 1
+        return lightest_word_weights([self], cap, limit)[0]
 
     def to_json_dict(self, distance: DistanceResult | None = None) -> dict:
         doc = {
@@ -376,19 +365,13 @@ def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> l
             for x, y, d, gen, rref in zip(c.tolist(), a_prime.tolist(), dims, gens, rrefs)]
 
 
-def _check_candidates(p: int, dims: Sequence[int], cap: int, limit: int) -> None:
-    """Raise for the first dim whose messages of plain weight <= cap exceed the limit."""
-    for dim in dict.fromkeys(dims):
-        n_cand = low_weight_message_count(p, dim, min(cap, dim))
-        if n_cand > limit:
-            raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
-
-
 def lightest_word_weights(
     codes: Sequence[Qc15Code], cap: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> list[int]:
     """lightest_word_weight(cap, limit) of each code of a stack over one field;
     the codes whose memo is narrower than cap are scanned and keep the result.
+    The limit bounds, for each dim scanned, the messages of plain weight <= cap;
+    it is checked before the scan, and a stack of memo hits checks nothing.
 
     The scan is a weighted pivot argument on the RREF R of each code. A column
     of R whose only nonzero entry sits in row r is a multiple of pivot column
@@ -402,8 +385,11 @@ def lightest_word_weights(
     many per code) side by side, in blocks of about PRODUCT_BLOCK entries.
     """
     p = codes[0].field.p if codes else 0
-    _check_candidates(p, [code.dim for code in codes], cap, limit)
     todo = [code for code in codes if code.dim and cap > code.lightest[0]]
+    for dim in dict.fromkeys(code.dim for code in todo):
+        n_cand = low_weight_message_count(p, dim, cap)
+        if n_cand > limit:
+            raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
     for shape in dict.fromkeys(code.rref.shape for code in todo):
         same = [code for code in todo if code.rref.shape == shape]
         (dim, length), rref = shape, np.stack([code.rref for code in same])
@@ -434,18 +420,22 @@ def lightest_word_weights(
 # -- message enumeration helpers --------------------------------------------------
 
 
-def codeword_blocks(gen: np.ndarray, p: int) -> Iterator[np.ndarray]:
+def codeword_blocks(
+    gen: np.ndarray, p: int, limit: int = DEFAULT_ENUM_LIMIT
+) -> Iterator[np.ndarray]:
     """The words y @ gen mod p for all p^k messages y in F^k, k = len(gen), in
     blocks of about PRODUCT_BLOCK entries; message index i has digits
-    y_j = (i // p^j) % p, so index 0 is the zero word (the only one when k = 0)."""
-    k, total = len(gen), p ** len(gen)
-    if total >= 2**63:
-        raise EnumerationTooLarge(f"{total} messages exceed the int64 message index")
+    y_j = (i // p^j) % p, so index 0 is the zero word (the only one when k = 0).
+
+    Raises at the call, before any block, when p^k exceeds the limit, which is
+    capped at 2^63 - 1 so that every message index fits in int64."""
+    k, total, limit = len(gen), p ** len(gen), min(limit, 2**63 - 1)
+    if total > limit:
+        raise EnumerationTooLarge(f"{total} words exceed the limit {limit}")
     radix = np.array([p**j for j in range(k)], dtype=np.int64)
     step = max(1, PRODUCT_BLOCK // gen.shape[1])  # messages per block
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        yield gf_matmul((idx[:, None] // radix[None, :]) % p, gen, p)
+    idx = (np.arange(i, min(i + step, total), dtype=np.int64) for i in range(0, total, step))
+    return (gf_matmul((i[:, None] // radix) % p, gen, p) for i in idx)
 
 
 def low_weight_message_count(p: int, k: int, max_weight: int) -> int:

@@ -71,7 +71,6 @@ from .codes import (
     gf_matmul,
     leading_independent_rows,
     lightest_word_weights,
-    low_weight_message_count,
     restricted_codes,
 )
 from .errors import DomainError, EmptyTrialSet, EnumerationTooLarge
@@ -153,13 +152,8 @@ def ideal_dim(b: RingElement) -> int:
 
 def ideal_elements(b: RingElement, limit: int = DEFAULT_ENUM_LIMIT) -> np.ndarray:
     """All p^dim elements of <b> as coefficient rows, the zero element first:
-    the words of ideal_basis(b) from codeword_blocks."""
-    p = b.field.p
-    basis = ideal_basis(b)
-    total = p ** len(basis)
-    if total > limit:
-        raise EnumerationTooLarge(f"ideal has {total} elements, limit is {limit}")
-    return np.concatenate(list(codeword_blocks(basis, p)))
+    the words of ideal_basis(b) from codeword_blocks, which checks the limit."""
+    return np.concatenate(list(codeword_blocks(ideal_basis(b), b.field.p, limit)))
 
 
 def restricted_elements(
@@ -198,21 +192,18 @@ def exact_low_weight_fraction(
     on the product of the two ideals generated by b, so the probability is a
     plain count over that product. For b = c || c they are {g || g : g in <c>}
     and <b mod X^m - 1> = <c>, so a pair (g, g') of <c> weighs 2 wt(g) + wt(g'),
-    and the weight histogram of <c> is convolved with itself.
+    and the weight histogram of <c> is convolved with itself. The limit bounds
+    the p^dim words of <c> that this enumerates.
     """
     c = _require_restricted(b)
-    m, p = len(c), b.field.p
-    t = weight_threshold(m, delta)
+    m, t = len(c), weight_threshold(len(c), delta)
     if not any(c) or t < 1:
         return Fraction(0)
-    basis = ideal_basis(RingElement(b.field, m, c))
-    total = p ** (2 * len(basis))
-    if total > limit:
-        raise EnumerationTooLarge(f"|image| = {total} exceeds the limit {limit}")
-    hist = _weight_histogram(np.concatenate(list(codeword_blocks(basis, p))), m)
+    words = ideal_elements(RingElement(b.field, m, c), limit)
+    hist = _weight_histogram(words, m)
     prefix = np.cumsum(hist)
     count = sum(int(hist[w]) * int(prefix[min(t - 2 * w, m)]) for w in range(min(t // 2, m) + 1))
-    return Fraction(count - 1, total)  # the zero pair has weight 0, excluded by "1 <= w"
+    return Fraction(count - 1, len(words) ** 2)  # the zero pair has weight 0, excluded by "1 <= w"
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -463,19 +454,14 @@ def mc_delta_probs(
 
     A trial is a hit when its code has no nonzero word of weight <=
     floor(3 m delta); zero-code draws are hits under the module convention
-    and are tallied in zero_code_fraction. The candidate limit is checked
-    for every delta, in order, before the first trial. When the full pair
-    space has at most min(ATTACH_EXACT_PAIRS, limit) pairs the exact
-    complements are attached for cross-checking.
+    and are tallied in zero_code_fraction. The limit bounds each stack's
+    candidate scan (lightest_word_weights), which runs only at the widest
+    threshold t with 1 <= t < 3m. When the full pair space has at most
+    min(ATTACH_EXACT_PAIRS, limit) pairs the exact complements are attached
+    for cross-checking.
     """
     pairs = _pair_source(field, m, trials=trials, seed=seed)
     ts = [weight_threshold(m, delta) for delta in deltas]
-    for t in ts:
-        candidates = low_weight_message_count(field.p, m - 1, min(t, m - 1)) if m > 1 else 0
-        if candidates > limit:
-            raise EnumerationTooLarge(
-                f"{candidates} low-weight candidates per trial exceed the limit {limit}"
-            )
     n, leq, zero_codes = _tally(pairs, _distance_event(field, ts, limit), len(ts))
     exact: list[Fraction | None] = [None] * len(ts)
     if field.p ** (2 * (m - 1)) <= min(ATTACH_EXACT_PAIRS, limit):

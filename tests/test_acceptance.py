@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with its runtime.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The Monte-Carlo criterion (8) uses the pinned seed 42 and takes ~40 s; the
-whole suite is well under its summed budgets.
+The Monte-Carlo criterion (8) uses the pinned seed 42 and takes 1-1.5 s on a
+2-vCPU x86-64 host; the whole suite is well under its summed budgets.
 """
 
 import math

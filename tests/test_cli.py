@@ -42,9 +42,10 @@ HEADER = "q,m,delta,mode,trials,hits,estimate,exact,bound,zero_code_fraction,see
 # the exact-to-Monte-Carlo fallback (also below the pair count up to which an
 # exact value is attached), the undefined bound, and both full-rank modes;
 # thresholds unsorted, repeated, 0 and past every word weight, several per
-# exact row; and a sweep stopped by the limit at a later threshold, which has
-# no stdout and pins exit code and stderr instead. Any change to the bytes
-# fails here.
+# exact row, and only 0 and 3m at an m whose candidate count is far past the
+# limit, which scan nothing; and a sweep stopped by the candidate limit at its
+# second m, which has no stdout and pins exit code and stderr instead. Any
+# change to the bytes fails here.
 GOLDEN_SWEEPS = {
     "exact-delta": (
         "--m 2,4 --delta 0.34 --exact",
@@ -112,7 +113,12 @@ GOLDEN_SWEEPS = {
         "--m 4,11 --delta 0.05,0.3 --exact --max-enum 100 --trials 3 --seed 2",
         None,
         3,
-        "error: 29012 low-weight candidates per trial exceed the limit 100\n",
+        "error: 29012 candidate messages exceed the limit 100\n",
+    ),
+    "thresholds-needing-no-scan": (
+        "--m 31 --delta 0,1 --trials 3 --seed 1",
+        "3,31,0.0,montecarlo,3,3,1.0,,4.667515255383723e-12,0.0,1,\n"
+        '3,31,1.0,montecarlo,3,0,0.0,,,0.0,1,"no bound: 3*delta/2 must be <= 1, got 1.5"\n',
     ),
     "exact-fullrank": (
         "--m 2,4,7 --fullrank --exact",

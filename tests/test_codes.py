@@ -711,11 +711,11 @@ class TestLowWeightSearch:
 
     def test_limit_counts_plain_weight_candidates(self):
         # the weighted scan tries fewer messages, but the limit still counts
-        # the C(3,1) + 2 C(3,2) = 9 messages of plain weight <= 2
-        code = example2()
-        assert code.has_word_of_weight_at_most(2, limit=9)
-        with pytest.raises(EnumerationTooLarge):
-            code.has_word_of_weight_at_most(2, limit=8)
+        # the C(3,1) + 2 C(3,2) = 9 messages of plain weight <= 2; each limit
+        # is asked of a fresh code, since a memo hit scans nothing
+        assert example2().has_word_of_weight_at_most(2, limit=9)
+        with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 8$"):
+            example2().has_word_of_weight_at_most(2, limit=8)
 
     def test_zero_threshold(self):
         assert not example1().has_word_of_weight_at_most(0)
@@ -828,10 +828,11 @@ class TestStackedThresholdScan:
         low = [code for code in stack if code.dim < 3]
         assert lightest_word_weights(low, 2, limit=4) == [
             min(distance_oracle(code), 3) for code in low]
-        assert counted == list(dict.fromkeys(code.dim for code in low))
+        # a zero code is never scanned, so its dim is not counted
+        assert counted == list(dict.fromkeys(code.dim for code in low if code.dim))
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
             lightest_word_weights(stack, 2, limit=4)
-        by_dim = {code.dim: code for code in stack}
+        by_dim = {code.dim: code for code in restricted_codes(F3, c, a_prime)}  # empty memos
         for order, first in (((0, 1, 3), 1), ((0, 3, 1), 9)):
             with pytest.raises(EnumerationTooLarge, match=f"^{first} candidate messages"):
                 lightest_word_weights([by_dim[d] for d in order], 2, limit=0)
@@ -851,8 +852,23 @@ class TestStackedThresholdScan:
             expected = [min(w, cap + 1) for w in widest]
             assert lightest_word_weights(stack, cap) == expected
             assert [code.lightest_word_weight(cap) for code in stack] == expected
-        with pytest.raises(EnumerationTooLarge):  # memo hits still check the limit
-            lightest_word_weights(stack, 8, limit=10)
+        # memo hits scan nothing, so no limit stops them
+        assert lightest_word_weights(stack, 8, limit=0) == widest
+        assert [code.lightest_word_weight(5, limit=0) for code in stack] == [
+            min(w, 6) for w in widest]
+
+    def test_memo_hits_count_no_candidates(self, monkeypatch):
+        c, a_prime = orbit_pairs(F3, 5)
+        stack = restricted_codes(F3, c, a_prime)
+        lightest_word_weights(stack, 8)
+        counted = []
+        real = codes.low_weight_message_count
+        monkeypatch.setattr(codes, "low_weight_message_count",
+                            lambda *args: counted.append(args) or real(*args))
+        for t in range(9):
+            for code in stack:
+                code.has_word_of_weight_at_most(t)
+        assert counted == []
 
 
 class TestCodeInvariants:

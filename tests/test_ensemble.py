@@ -199,12 +199,6 @@ class TestIdealDim:
                 dims.add(dim)
             assert len(dims) > 1
 
-    def test_elements_limit(self):
-        b = j_plus_generator(4)  # 27 elements
-        assert len(ideal_elements(b, limit=27)) == 27
-        with pytest.raises(EnumerationTooLarge, match="ideal has 27 elements, limit is 26"):
-            ideal_elements(b, limit=26)
-
 
 def two_ideal_formula(b: RingElement):
     """exact_low_weight_fraction(b, delta, limit) as a function of (delta,
@@ -221,8 +215,8 @@ def two_ideal_formula(b: RingElement):
         t = weight_threshold(m, delta)
         if b.is_zero() or t < 1:
             return Fraction(0)
-        if total > limit:
-            raise EnumerationTooLarge(f"|image| = {total} exceeds the limit {limit}")
+        if len(sides[1]) > limit:  # the words of <c> = <b mod X^m - 1>
+            raise EnumerationTooLarge(f"{len(sides[1])} words exceed the limit {limit}")
         count = sum(int(h1[w]) * int(prefix2[min(t - w, m)]) for w in range(min(t, 2 * m) + 1))
         return Fraction(count - 1, total)
 
@@ -273,14 +267,6 @@ class TestExactLowWeightFraction:
                     frac = exact_low_weight_fraction(b, delta)
                     bound = ideal_expectation_bound(ideal_dim(b), m, delta, 3)
                     assert float(frac) <= bound + 1e-12
-
-    def test_limit_counts_the_product(self):
-        # each ideal has 27 elements and fits; their product has 729
-        b = j_plus_generator(4)
-        assert 3 ** ideal_dim(b) == 3 ** ideal_dim(b.fold_to(4)) == 27
-        assert exact_low_weight_fraction(b, "0.5", limit=729) > 0
-        with pytest.raises(EnumerationTooLarge, match="729 exceeds the limit 728"):
-            exact_low_weight_fraction(b, "0.5", limit=728)
 
     def test_rejects_unrestricted_generator(self):
         # 1; 1 + X^2 = c || c with sum(c) != 0; 1 + 2X with b(1) = 0 but not c || c
@@ -681,12 +667,6 @@ class TestSphereCount:
         with pytest.raises(DomainError):
             sphere_count_check(j_plus_generator(2), 5)
 
-    def test_limit(self):
-        b = j_plus_generator(4)  # 27 elements
-        assert sphere_count_check(b, 8, limit=27)[0] == 27
-        with pytest.raises(EnumerationTooLarge, match="ideal has 27 elements, limit is 26"):
-            sphere_count_check(b, 8, limit=26)
-
     def test_inequality_all_ideals_of_r4_and_r8(self):
         # ideals of R_n dedupe as gcd(lift(b), X^n - 1) over every b
         for n in (4, 8):
@@ -702,6 +682,30 @@ class TestSphereCount:
                     exact, bound = sphere_count_check(b, w)
                     if w / n <= 1 - Fraction(1, 3):
                         assert exact <= bound + 1e-9
+
+
+# Each enumerates 27 words: the codewords of a dim-3 code at q = 3, m = 2, or
+# the elements of <b> for b = j_plus_generator(4) in R_8, of which <c> for
+# b = c || c is a copy (exact_low_weight_fraction enumerates <c> alone).
+WORD_ENUMERATIONS = {
+    "codewords": lambda limit: construct_code(
+        RingElement(F3, 4, (2, 1, 0, 0)), RingElement(F3, 2, (2, 1))).codewords(limit),
+    "min_distance": lambda limit: construct_code(
+        RingElement(F3, 4, (2, 1, 0, 0)), RingElement(F3, 2, (2, 1))).min_distance(limit),
+    "ideal_elements": lambda limit: ideal_elements(j_plus_generator(4), limit),
+    "exact_low_weight_fraction": lambda limit: exact_low_weight_fraction(
+        j_plus_generator(4), "0.5", limit),
+    "sphere_count_check": lambda limit: sphere_count_check(j_plus_generator(4), 8, limit),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ENUMERATIONS))
+def test_word_limit_is_the_number_of_words(name):
+    enumerate_words = WORD_ENUMERATIONS[name]
+    assert 3 ** ideal_dim(j_plus_generator(4)) == 27
+    enumerate_words(27)
+    with pytest.raises(EnumerationTooLarge, match="^27 words exceed the limit 26$"):
+        enumerate_words(26)
 
 
 def test_report_csv_row_roundtrip():

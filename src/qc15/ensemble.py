@@ -41,9 +41,12 @@ its orbit's size is the product of the choices' sizes.
 
 Reproducibility
 ---------------
-Monte-Carlo trial t draws its own generator from (seed, t), so serial and
-parallel execution orders produce identical streams; trials are independent
-and aggregation is order-free.
+Monte-Carlo trial t draws integers(0, q, 2m), then integers(0, q, m), from
+Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(t,)))) (trial_rng), so
+trials are independent and any order draws the same. qc15 computes the draws
+a block at a time (_block_draws); trial_rng is the tests' reference and the
+path for a Lemire rejection, q > 2^32 or t >= 2^32. NumPy does not promise
+Generator.integers's stream across releases: the oracle test reports a change.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .algebra import (
 from .bounds import delta_prob_bound, qary_entropy
 from .codes import (
     DEFAULT_ENUM_LIMIT,
+    PRODUCT_BLOCK,
     circulant_matrix,
     codeword_blocks,
     gf_matmul,
@@ -117,6 +121,94 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     )
+
+
+# SeedSequence's hash and mix constants and PCG64's multiplier (bit_generator.pyx, pcg64.h)
+_M32, _MIX_L, _MIX_R = 0xFFFFFFFF, 0xCA01F9DD, 0x4973F715
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(v, xor, mul):
+    """A step of SeedSequence's hash of 32-bit words, on ints or uint64 arrays."""
+    v = (v ^ xor) * mul & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of 32-bit words, on ints or uint64 arrays."""
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=None)
+def _seed_pool(seed: int) -> tuple[np.ndarray, ...]:
+    """SeedSequence(entropy=seed, spawn_key=(t,))'s pool before t, whose
+    entropy is seed's 32-bit words zero-padded to 4 then t, and the xors and
+    multipliers of the 4 hash steps mixing t in and of generate_state's 8:
+    step i xors init mult^i and multiplies by init mult^(i+1), mod 2^32."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]
+    h = [_INIT_A * pow(_MULT_A, i, 1 << 32) & _M32 for i in range(4 * len(words) + 5)]
+    g = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)]
+    steps = zip(h, h[1:])
+    pool = [_hash(w, *next(steps)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    for w in words[4:]:
+        pool = [_mix(x, _hash(w, *next(steps))) for x in pool]
+    return tuple(np.array(x, dtype=np.uint64) for x in (pool, h[-5:-1], h[-4:], g[:-1], g[1:]))
+
+
+@lru_cache(maxsize=None)
+def _jump_table(words: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 seeded with generate_state's 32-bit words 2, 3, 0, 1 as s and
+    6, 7, 4, 5 as s' has the state A_j s + D_j (2 s' + 1) mod 2^128 at output
+    word j, A_j = M^(j+2), D_j = 1 + ... + M^(j+2): the words' 16-bit limbs
+    times this (16, 4 words) float64 map, exact below 2^53, plus D_j."""
+    table, const = np.zeros((16, 4, words)), np.zeros((4, words))
+    a, d = _PCG_MULT**2 % (1 << 128), 1 + _PCG_MULT
+    for j in range(words):
+        d = (d + a) % (1 << 128)
+        const[:, j] = [d >> 32 * n & _M32 for n in range(4)]
+        for i in range(16):  # half i % 2 of word i // 2
+            c = a if i < 8 else 2 * d
+            at = 16 * (i % 2 + 2 * (2, 3, 0, 1)[i // 2 % 4])  # its bit in s or s'
+            table[i, :, j] = [(c << at) >> 32 * n & _M32 for n in range(4)]
+        a = a * _PCG_MULT % (1 << 128)
+    return table.reshape(16, -1), const.ravel()
+
+
+def _block_draws(p: int, m: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Row k: integers(0, p, 2m), then integers(0, p, m), of trial_rng(seed,
+    start + k) for start + k < stop, all rows at once: XSL-RR of the states
+    cut into 32-bit draws x, low half first, and the Lemire step x p >> 32. A
+    row with a rejection ((x p mod 2^32) < 2^32 mod p), at t >= 2^32 (a
+    2-word spawn key) or at p > 2^32 (a 64-bit Lemire step) uses trial_rng."""
+    t = np.arange(start, stop, dtype=np.uint64)
+    draws, redo = np.zeros((len(t), 3 * m), dtype=np.int64), np.ones(len(t), dtype=bool)
+    if p < 1 << 32 and seed >= 0:
+        pool, xor, mul, g_xor, g_mul = _seed_pool(seed)
+        state = _hash(np.tile(_mix(pool, _hash(t[:, None], xor, mul)), 2), g_xor, g_mul)
+        limbs = state.astype("<u4").view("<u2").astype(np.float64)
+        words = (3 * m + 1) // 2
+        table, const = _jump_table(words)
+        step = max(1, PRODUCT_BLOCK // len(const))  # rows per product: one BLAS thread
+        cols = np.vstack([limbs[i : i + step] @ table for i in range(0, len(t), step)]) + const
+        cols = cols.astype(np.uint64).reshape(len(t), 4, words)
+        for n in range(3):
+            cols[:, n + 1] += cols[:, n] >> 32
+        x = (cols[:, 3] ^ cols[:, 1]) << 32 | (cols[:, 2] ^ cols[:, 0]) & _M32
+        rot = cols[:, 3] >> 26 & 63
+        out = x >> rot | x << (64 - rot & 63)
+        scaled = out.astype("<u8", copy=False).view("<u4")[:, : 3 * m] * np.uint64(p)
+        draws = (scaled >> 32).astype(np.int64)
+        redo = ((scaled & _M32) < (1 << 32) % p).any(axis=1) | (t > _M32)
+    for k in np.flatnonzero(redo):
+        rng = trial_rng(seed, start + int(k))
+        draws[k] = np.concatenate([rng.integers(0, p, size=2 * m), rng.integers(0, p, size=m)])
+    return draws
 
 
 def sample_pair(field: PrimeField, m: int, rng: np.random.Generator) -> RestrictedPair:
@@ -291,11 +383,9 @@ def _sample_block(field: PrimeField, m: int, seed: int, start: int, trials: int)
     with a = c || c. So c = fold(f) (X - 1) and a' = f2 (X - 1), each a shift
     and subtract in R_m, as f (X^m+1)(X-1) = (X^m+1)(fold(f) (X-1) mod X^m-1)."""
     p = field.p
-    rngs = [trial_rng(seed, i) for i in range(start, min(start + TRIAL_BLOCK, trials))]
-    f = np.array([rng.integers(0, p, size=2 * m) for rng in rngs])
-    f2 = np.array([rng.integers(0, p, size=m) for rng in rngs])
-    c, a_prime = ((np.roll(g, 1, axis=1) - g) % p for g in (f[:, :m] + f[:, m:], f2))
-    return c, a_prime, np.ones(len(rngs), dtype=np.int64)
+    f = _block_draws(p, m, seed, start, min(start + TRIAL_BLOCK, trials))
+    c, a_prime = ((np.roll(g, 1, axis=1) - g) % p for g in (f[:, :m] + f[:, m:2 * m], f[:, 2 * m:]))
+    return c, a_prime, np.ones(len(f), dtype=np.int64)
 
 
 def _pair_source(

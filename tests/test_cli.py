@@ -227,6 +227,22 @@ class TestConstruct:
 
 
 class TestSweep:
+    def test_sweeps_import_no_numpy_random(self):
+        # numpy 1.x imports numpy.random with numpy, so only what the sweeps add counts
+        script = (
+            "import sys\n"
+            "from qc15.cli import main\n"
+            "before = set(sys.modules)\n"
+            "main(['sweep', '--q', '3', '--m', '5,7', '--delta', '0.2', '--trials', '100'])\n"
+            "main(['sweep', '--q', '3', '--m', '13', '--fullrank', '--trials', '100'])\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     @pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS))
     def test_golden_stdout(self, capsys, case):
         options, rows, *status = GOLDEN_SWEEPS[case]

@@ -575,17 +575,37 @@ class TestRestrictedDims:
         assert restricted_dims(field, m, a[:, :m], a_prime).tolist() == expected
 
 
+def assert_rows_are_sample_pair_draws(field, m, seed, start, trials):
+    c, a_prime, sizes = _sample_block(field, m, seed, start, trials)
+    rows = min(TRIAL_BLOCK, trials - start)
+    assert c.shape == a_prime.shape == (rows, m) and len(sizes) == rows
+    assert sizes.tolist() == [1] * len(sizes)
+    for k, (x, y) in enumerate(zip(c.tolist(), a_prime.tolist())):
+        pair = sample_pair(field, m, trial_rng(seed, start + k))
+        expected = (pair.a.coeffs, pair.a_prime.coeffs)
+        assert (tuple(x + x), tuple(y)) == expected, (field.p, m, seed, start + k)
+
+
 class TestTrialBlocks:
     def test_rows_are_sample_pair_draws(self):
-        trials = TRIAL_BLOCK + 1
-        for start in (0, TRIAL_BLOCK):
-            c, a_prime, sizes = _sample_block(F3, 5, 19, start, trials)
-            rows = min(TRIAL_BLOCK, trials - start)
-            assert c.shape == a_prime.shape == (rows, 5) and len(sizes) == rows
-            assert sizes.tolist() == [1] * len(sizes)
-            for k, (x, y) in enumerate(zip(c.tolist(), a_prime.tolist())):
-                pair = sample_pair(F3, 5, trial_rng(19, start + k))
-                assert (tuple(x + x), tuple(y)) == (pair.a.coeffs, pair.a_prime.coeffs)
+        # 2^32 mod 2147483659 = 2147483637, so about half of its draws are
+        # rejected and its rows come from trial_rng; 4294967311 > 2^32 takes
+        # numpy's 64-bit Lemire step; seeds of 1, 3 and 7 words
+        for q, seed, m in product((3, 5, 7, 1009, 2147483659, 4294967311),
+                                  (0, 42, 2**64 + 5, 2**200 + 3), (1, 2, 5, 13, 31)):
+            if m % q:
+                for start in (0, TRIAL_BLOCK):
+                    field = PrimeField(q)
+                    assert_rows_are_sample_pair_draws(field, m, seed, start, TRIAL_BLOCK + 1)
+
+    @pytest.mark.parametrize("seed", (0, 2**200 + 3))
+    def test_rows_at_two_word_trial_indices(self, seed):
+        # t = 2^32 and 2^32 + 1 have a two-word spawn key; no sweep runs this far
+        assert_rows_are_sample_pair_draws(F3, 5, seed, 2**32 - 2, 2**32 + 2)
+
+    def test_products_of_many_words_split_into_blocks(self):
+        # m = 43 draws 65 words a trial, too many for one product of the block
+        assert_rows_are_sample_pair_draws(F3, 43, 42, 0, TRIAL_BLOCK)
 
     def test_hits_match_a_loop_over_sample_pair(self):
         m, seed, trials = 4, 19, TRIAL_BLOCK + 1

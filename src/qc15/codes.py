@@ -11,7 +11,8 @@ a whole stack of codes at once: dim is its rank, the rows it keeps are the
 generator matrix. The same scan of circ(b) gives the dimension and basis of
 any ideal <b> of R_n (ensemble.ideal_basis), at every n, and codeword_blocks
 enumerates the words of a code or an ideal from its basis. One weighted-pivot
-scan answers a stack's threshold queries (lightest_word_weights). The polynomial
+scan answers a stack's threshold queries (lightest_word_weights, one
+rref_lightest_weights call per RREF shape). The polynomial
 description, two complementary monic divisors of X^{2m}-1 (a generator
 polynomial g and a check polynomial h with g*h = X^{2m}-1 and dim = deg h),
 is derived from (a, a') when g or h is first read.
@@ -129,24 +130,35 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     the first nonzero column, scales the row by the lead's inverse and clears
     that column from all rows in one broadcast, so the kept rows end reduced.
     On the span of a cyclic module, circ(b) or a code's, they are the first
-    dims[b] rows (construct_code says why): a basis.
+    dims[b] rows (construct_code says why): a basis. Row i and the pivot
+    column are reduced mod p when read, each update is subtracted unreduced,
+    and the stack is reduced once per `fit` rows: after k updates an entry
+    lies in [-k (p-1)^2, p-1], so the scan runs in the narrowest of int32 and
+    int64 where a product of two residues fits, which holds fit = (2^31 or
+    2^63 - p) // (p-1)^2 of them (p = 3 reduces only at the end, p > 2^31
+    after every row, in object ints past int64).
     """
-    work = np.array(mat, dtype=_gf_dtype(p)) % p
+    dtype = np.int32 if (p - 1) ** 2 < 2**31 else _gf_dtype(p)
+    work = np.array(mat, dtype=dtype)
+    fit = max(1, ((2**31 if dtype is np.int32 else 2**63) - p) // (p - 1) ** 2)
     (count, n_rows, n_cols), at = work.shape, np.arange(len(work))
     order = np.tile(n_cols + np.arange(n_rows), (count, 1))  # pivot if kept, else past all
     for i in range(n_rows):
-        c = (work[:, i] != 0).argmax(axis=1)
-        lead = work[at, i, c]
+        if i % fit == 0:
+            work = work % p
+        row = work[:, i] % p
+        c = (row != 0).argmax(axis=1)
+        lead = row[at, c]
         if not lead.any():
             continue
         inv = np.array([pow(x, -1, p) if x else 0 for x in lead.tolist()], dtype=work.dtype)
-        row = work[:, i] * inv[:, None] % p
-        work = (work - work[at, :, c][:, :, None] * row[:, None, :]) % p
+        row = row * inv[:, None] % p
+        work = work - (work[at, :, c] % p)[:, :, None] * row[:, None, :]
         work[:, i] = row
         order[lead != 0, i] = c[lead != 0]
     dims = (order < n_cols).sum(axis=1)
-    rrefs = np.take_along_axis(work, np.argsort(order)[:, :, None], axis=1).astype(np.int64)
-    return dims, rrefs
+    rrefs = np.take_along_axis(work % p, np.argsort(order)[:, :, None], axis=1)
+    return dims, rrefs.astype(np.int64, copy=False)
 
 
 # -- circulant blocks --------------------------------------------------------------
@@ -307,7 +319,9 @@ class Qc15Code:
         The batch of one of lightest_word_weights, so a cap up to the widest
         scanned is answered from the memo and checks no limit.
         """
-        return lightest_word_weights([self], cap, limit)[0]
+        if self.dim and cap > self.lightest[0]:
+            lightest_word_weights([self], cap, limit)
+        return min(self.lightest[1], cap + 1) if self.dim else cap + 1
 
     def to_json_dict(self, distance: DistanceResult | None = None) -> dict:
         doc = {
@@ -365,13 +379,9 @@ def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> l
             for x, y, d, gen, rref in zip(c.tolist(), a_prime.tolist(), dims, gens, rrefs)]
 
 
-def lightest_word_weights(
-    codes: Sequence[Qc15Code], cap: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> list[int]:
-    """lightest_word_weight(cap, limit) of each code of a stack over one field;
-    the codes whose memo is narrower than cap are scanned and keep the result.
-    The limit bounds, for each dim scanned, the messages of plain weight <= cap;
-    it is checked before the scan, and a stack of memo hits checks nothing.
+def rref_lightest_weights(rref: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """min(d_min, cap + 1) of each nonzero code of a (B, dim, length) stack of
+    RREFs, with no limit check.
 
     The scan is a weighted pivot argument on the RREF R of each code. A column
     of R whose only nonzero entry sits in row r is a multiple of pivot column
@@ -380,40 +390,52 @@ def lightest_word_weights(
     y @ R, so every word of weight <= cap comes from a message where that sum
     is <= cap (low_weight_messages), and the product is taken over the other
     columns only; on a restricted pair mult = 2 on the u-part's pivots. The
-    codes of one RREF shape are grouped by sorted mult, sharing one candidate
-    block, whose product is taken against the group's non-single columns (as
-    many per code) side by side, in blocks of about PRODUCT_BLOCK entries.
+    codes are grouped by sorted mult, sharing one candidate block, whose
+    product is taken against the group's non-single columns (as many per
+    code) side by side, in blocks of about PRODUCT_BLOCK entries.
     """
-    p = codes[0].field.p if codes else 0
+    (count, dim, length), at = rref.shape, np.arange(len(rref))
+    single = (rref != 0).sum(axis=1) == 1
+    mult = ((rref != 0) & single[:, None]).sum(axis=2)
+    rows = np.argsort(mult, axis=1, kind="stable")
+    # the non-single columns first, as many as the widest code has
+    cols = np.argsort(single, axis=1, kind="stable")[:, : length - single.sum(axis=1).min()]
+    rest = rref[at[:, None, None], rows[:, :, None], cols[:, None, :]]
+    keys = [tuple(key) for key in np.take_along_axis(mult, rows, axis=1).tolist()]
+    best = np.full(count, cap + 1)
+    for key in dict.fromkeys(keys):
+        group = [i for i, k in enumerate(keys) if k == key]
+        width = length - sum(key)  # every single column counts once in mult
+        side_by_side = rest[group, :, :width].transpose(1, 0, 2).reshape(dim, -1)
+        cand = low_weight_messages(p, key, cap)
+        base = (cand != 0) @ np.array(key)
+        step = max(1, PRODUCT_BLOCK // max(side_by_side.shape[1], 1))
+        for lo in range(0, len(cand), step):
+            words = gf_matmul(cand[lo : lo + step], side_by_side, p)
+            weights = base[lo : lo + step, None] + np.count_nonzero(
+                words.reshape(len(words), len(group), width), axis=2)
+            best[group] = np.minimum(best[group], weights.min(axis=0))
+    return best
+
+
+def lightest_word_weights(
+    codes: Sequence[Qc15Code], cap: int, limit: int = DEFAULT_ENUM_LIMIT
+) -> list[int]:
+    """lightest_word_weight(cap, limit) of each code of a stack over one field;
+    the codes whose memo is narrower than cap are scanned, one
+    rref_lightest_weights call per RREF shape, and keep the result. The limit
+    bounds, for each dim scanned, the messages of plain weight <= cap; it is
+    checked before the scan, and a stack of memo hits checks nothing."""
     todo = [code for code in codes if code.dim and cap > code.lightest[0]]
     for dim in dict.fromkeys(code.dim for code in todo):
-        n_cand = low_weight_message_count(p, dim, cap)
+        n_cand = low_weight_message_count(todo[0].field.p, dim, cap)
         if n_cand > limit:
             raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
     for shape in dict.fromkeys(code.rref.shape for code in todo):
         same = [code for code in todo if code.rref.shape == shape]
-        (dim, length), rref = shape, np.stack([code.rref for code in same])
-        single = (rref != 0).sum(axis=1) == 1
-        mult = ((rref != 0) & single[:, None]).sum(axis=2)
-        rows = np.argsort(mult, axis=1, kind="stable")
-        # the non-single columns first, as many as the widest code has
-        cols = np.argsort(single, axis=1, kind="stable")[:, : length - single.sum(axis=1).min()]
-        rest = rref[np.arange(len(same))[:, None, None], rows[:, :, None], cols[:, None, :]]
-        keys = [tuple(key) for key in np.take_along_axis(mult, rows, axis=1).tolist()]
-        for key in dict.fromkeys(keys):
-            group = [i for i, k in enumerate(keys) if k == key]
-            width = length - sum(key)  # every single column counts once in mult
-            side_by_side = rest[group, :, :width].transpose(1, 0, 2).reshape(dim, -1)
-            cand = low_weight_messages(p, key, cap)
-            base, best = (cand != 0) @ np.array(key), np.full(len(group), cap + 1)
-            step = max(1, PRODUCT_BLOCK // max(side_by_side.shape[1], 1))
-            for lo in range(0, len(cand), step):
-                words = gf_matmul(cand[lo : lo + step], side_by_side, p)
-                weights = base[lo : lo + step, None] + np.count_nonzero(
-                    words.reshape(len(words), len(group), width), axis=2)
-                best = np.minimum(best, weights.min(axis=0))
-            for i, lightest in zip(group, best.tolist()):
-                object.__setattr__(same[i], "lightest", (cap, lightest))
+        best = rref_lightest_weights(np.stack([code.rref for code in same]), same[0].field.p, cap)
+        for code, lightest in zip(same, best.tolist()):
+            object.__setattr__(code, "lightest", (cap, lightest))
     return [min(code.lightest[1], cap + 1) if code.dim else cap + 1 for code in codes]
 
 
@@ -444,34 +466,26 @@ def low_weight_message_count(p: int, k: int, max_weight: int) -> int:
     return sum(comb(k, w) * (p - 1) ** (w - 1) for w in range(1, w_cap + 1))
 
 
-def _light_supports(mult: Sequence[int], budget: int, start: int = 0) -> Iterator[tuple]:
-    """Index sets S in [start, len(mult)), ascending, with sum of mult over S <= budget."""
-    for i in range(start, len(mult)):
-        if mult[i] <= budget:
-            yield (i,)
-            for rest in _light_supports(mult, budget - mult[i], i + 1):
-                yield (i,) + rest
-
-
 @lru_cache(maxsize=64)
 def low_weight_messages(p: int, mult: tuple[int, ...], max_weight: int) -> np.ndarray:
     """All nonzero messages y in F^k, k = len(mult), whose weighted weight
     (the sum of mult[r] over y_r != 0) is at most max_weight, scalar-normalized.
 
     Scaling a message scales the codeword without changing its weight, so the
-    first nonzero entry is pinned to 1 and nothing is lost.
+    first nonzero entry is pinned to 1 and nothing is lost. Built one nonzero
+    entry at a time, in as many steps as the widest support: each message of
+    a step is extended at each later position j that still fits, by each of
+    y_j = 1..p-1 (by y_j = 1 alone in the first step, from the zero message).
     """
-    from itertools import product
-
-    k = len(mult)
-    rows = []
-    for support in _light_supports(mult, max_weight):
-        for vals in product(range(1, p), repeat=len(support) - 1):
-            row = [0] * k
-            row[support[0]] = 1
-            for pos, v in zip(support[1:], vals):
-                row[pos] = v
-            rows.append(row)
-    out = np.array(rows, dtype=np.int64) if rows else np.zeros((0, k), dtype=np.int64)
+    weights, at = np.array(mult, dtype=np.int64), np.arange(len(mult))
+    step = np.eye(len(mult), dtype=np.int64)[weights <= max_weight]
+    last, spent, steps = at[weights <= max_weight], weights[weights <= max_weight], [step]
+    while len(step):
+        row, j = np.nonzero((at > last[:, None]) & (spent[:, None] + weights <= max_weight))
+        row, j = row.repeat(p - 1), j.repeat(p - 1)
+        step, last, spent = step[row], j, spent[row] + weights[j]
+        step[np.arange(len(row)), j] = np.arange(len(row)) % (p - 1) + 1
+        steps.append(step)
+    out = np.concatenate(steps)
     out.setflags(write=False)
     return out

@@ -167,17 +167,21 @@ def _jump_table(words: int) -> tuple[np.ndarray, np.ndarray]:
     6, 7, 4, 5 as s' has the state A_j s + D_j (2 s' + 1) mod 2^128 at output
     word j, A_j = M^(j+2), D_j = 1 + ... + M^(j+2): the words' 16-bit limbs
     times this (16, 4 words) float64 map, exact below 2^53, plus D_j."""
-    table, const = np.zeros((16, 4, words)), np.zeros((4, words))
+    limbs, const = [], []
     a, d = _PCG_MULT**2 % (1 << 128), 1 + _PCG_MULT
-    for j in range(words):
+    for _ in range(words):
         d = (d + a) % (1 << 128)
-        const[:, j] = [d >> 32 * n & _M32 for n in range(4)]
-        for i in range(16):  # half i % 2 of word i // 2
-            c = a if i < 8 else 2 * d
-            at = 16 * (i % 2 + 2 * (2, 3, 0, 1)[i // 2 % 4])  # its bit in s or s'
-            table[i, :, j] = [(c << at) >> 32 * n & _M32 for n in range(4)]
+        const.append([d >> 32 * n & _M32 for n in range(4)])
+        limbs.append([[0] * 8 + [c >> 16 * k & 0xFFFF for k in range(8)] for c in (a, 2 * d)])
         a = a * _PCG_MULT % (1 << 128)
-    return table.reshape(16, -1), const.ravel()
+    # row i is half i % 2 of word i // 2, at limb u of s (a) or s' (2d); its
+    # word n is limbs 2n - u and 2n - u + 1 of the multiplier, 8 zero limbs first
+    u = np.array([i % 2 + 2 * (2, 3, 0, 1)[i // 2 % 4] for i in range(16)])
+    k, side = 8 + 2 * np.arange(4) - u[:, None], np.arange(16)[:, None] // 8
+    limbs = np.array(limbs, dtype=np.int64)
+    table = limbs[:, side, k] + (limbs[:, side, k + 1] << 16)
+    return (table.transpose(1, 2, 0).reshape(16, -1).astype(np.float64),
+            np.array(const, dtype=np.float64).T.ravel())
 
 
 def _block_draws(p: int, m: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -459,16 +463,25 @@ def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     return event
 
 
+@lru_cache(maxsize=None)
+def _coset_projection(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The circulants of the primitive idempotents of R_m side by side, and
+    the sizes of their cosets, read-only."""
+    blocks = np.hstack([circulant_matrix(e) for e in coset_idempotents(field, m)])
+    sizes = np.array([len(coset) for coset in cyclotomic_cosets(m, field.p).cosets])
+    for array in (blocks, sizes):
+        array.setflags(write=False)
+    return blocks, sizes
+
+
 def restricted_dims(field: PrimeField, m: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
     """The code dimension of each restricted pair (c[k] || c[k], a'[k]), from
     one product for the whole stack and no row scan: the code is
     {(w, w, v) : (w, v) in R_m (c, a')}, so its dimension is the sum of |C|
     over the cosets C where (c, a') e_C != 0."""
-    p = field.p
-    blocks = np.hstack([circulant_matrix(e) for e in coset_idempotents(field, m)])
-    projected = gf_matmul(np.vstack([c, a_prime]), blocks, p)
-    nonzero = projected.reshape(2, len(c), -1, m).any(axis=(0, 3))
-    return nonzero @ np.array([len(coset) for coset in cyclotomic_cosets(m, p).cosets])
+    blocks, sizes = _coset_projection(field, m)
+    projected = gf_matmul(np.vstack([c, a_prime]), blocks, field.p)
+    return projected.reshape(2, len(c), -1, m).any(axis=(0, 3)) @ sizes
 
 
 def _fullrank_event(field: PrimeField, m: int) -> Event:

@@ -7,7 +7,7 @@ generator matrices and full codeword sets are pinned here verbatim.
 import math
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -372,6 +372,7 @@ def gauss_jordan(rows: list[list[int]], p: int) -> list[list[int]]:
 
 
 P_LARGE = 4294967311  # (p - 1)^2 > 2^63: products need object ints
+P_31 = 2147483659  # (p - 1)^2 < 2^63 < 2 (p - 1)^2
 
 
 class TestGfRref:
@@ -503,7 +504,7 @@ class TestStackedScan:
         dims = self.assert_scan_matches_gf_rref(stack, 3)
         assert set(dims.tolist()) == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("q, m", ((5, 6), (7, 4), (P_LARGE, 3)))
+    @pytest.mark.parametrize("q, m", ((5, 6), (7, 4), (P_31, 3), (P_LARGE, 3)))
     def test_sampled_stacks_with_short_w_projections(self, q, m):
         field = PrimeField(q)
         c, a_prime = sampled_pairs(field, m, seed=q)
@@ -513,6 +514,17 @@ class TestStackedScan:
         # both kinds occur: the w-projection spans the code or falls short of it
         assert {w == d for w, d in zip(w_ranks, dims.tolist())} == {True, False}
         self.assert_codes_match(field, c, a_prime)
+
+    @pytest.mark.parametrize("p", (46337, P_31))
+    def test_unreduced_updates_fit_their_dtype(self, p):
+        # a product of two residues fits int32 at 46337 and int64 at P_31, and
+        # a sum of two does not: row 2 of the first matrix gathers (p - 1)^2
+        # from each of rows 0 and 1 before it is read, so the scan must reduce
+        # after every row
+        worst = np.array([[1, 0, p - 1, p - 1], [p - 1, 1, 0, 0], [p - 1, p - 1, 0, 1]])
+        rng = np.random.default_rng(7)
+        stack = np.concatenate([worst[None], p - 1 - rng.integers(0, 4, size=(5, 3, 4))])
+        assert list(self.assert_scan_matches_gf_rref(stack, p)[:1]) == [3]
 
     def test_exact_sweep_scans_at_most_trial_block_codes_at_once(self, monkeypatch):
         stacks = []
@@ -716,6 +728,25 @@ class TestLowWeightSearch:
         assert example2().has_word_of_weight_at_most(2, limit=9)
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 8$"):
             example2().has_word_of_weight_at_most(2, limit=8)
+
+    @pytest.mark.parametrize("q, max_k", ((3, 6), (5, 4), (7, 4)))
+    def test_low_weight_messages_match_brute_force(self, q, max_k):
+        rnd = random.Random(q)
+        for cap in range(9):
+            k = rnd.randint(0, max_k)
+            mult = tuple(sorted(rnd.randint(1, 3) for _ in range(k)))
+            expected = {y for y in product(range(q), repeat=k)
+                        if any(y) and next(x for x in y if x) == 1
+                        and sum(w for w, x in zip(mult, y) if x) <= cap}
+            got = codes.low_weight_messages.__wrapped__(q, mult, cap)
+            assert got.shape == (len(expected), k) and not got.flags.writeable
+            assert set(map(tuple, got.tolist())) == expected
+
+    def test_low_weight_messages_at_p_above_2_32(self):
+        # only weight-1 messages fit, so no entry past the first is enumerated
+        got = codes.low_weight_messages.__wrapped__(P_LARGE, (2, 2, 3), 3)
+        assert sorted(got.tolist()) == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        assert codes.low_weight_messages.__wrapped__(P_LARGE, (4,), 3).shape == (0, 1)
 
     def test_zero_threshold(self):
         assert not example1().has_word_of_weight_at_most(0)

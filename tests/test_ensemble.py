@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -358,13 +358,22 @@ class TestExactDeltaProb:
 class TestDistanceEvent:
     def test_one_stacked_scan_per_stack_at_the_widest_t_below_3m(self, monkeypatch):
         scans = []
-        real = ensemble.lightest_word_weights
-        monkeypatch.setattr(ensemble, "lightest_word_weights",
-                            lambda stack, cap, limit: scans.append((len(stack), cap))
-                            or real(stack, cap, limit))
-        # at m = 5 the thresholds are t = 1, 4 and 15 = 3m, which needs no scan
-        mc_delta_probs(F3, 5, ["0.106", "0.3", "1"], TRIAL_BLOCK + 1, seed=3)
-        assert scans == [(TRIAL_BLOCK, 4), (1, 4)]
+        real = codes.rref_lightest_weights
+        monkeypatch.setattr(codes, "rref_lightest_weights",
+                            lambda stack, p, cap: scans.append((len(stack), stack.shape[1], cap))
+                            or real(stack, p, cap))
+        # at m = 4 the thresholds are t = 1, 3 and 12 = 3m, which needs no scan,
+        # and the codes have dims 1, 2 and 3; the trials, then the attached
+        # exact row's unit orbits
+        mc_delta_probs(F3, 4, ["0.106", "0.3", "1"], TRIAL_BLOCK + 1, seed=3)
+        expected = []
+        for c, a_prime, _ in chain(_pair_source(F3, 4, trials=TRIAL_BLOCK + 1, seed=3),
+                                   _pair_source(F3, 4)):
+            dims = restricted_dims(F3, 4, c, a_prime).tolist()
+            # one scan per stack and nonzero dim, in order of first appearance
+            expected += [(dims.count(d), d, 3) for d in dict.fromkeys(dims) if d]
+        assert scans == expected
+        assert len({dim for _, dim, _ in scans}) > 1
 
     @pytest.mark.parametrize("delta, hits", (("1", 3**12 - 1), ("0.04", 0)))
     def test_thresholds_outside_1_to_3m_scan_nothing(self, monkeypatch, delta, hits):
@@ -376,6 +385,23 @@ class TestDistanceEvent:
         (rep,) = exact_delta_leq_probs(F3, 7, [delta])
         assert (rep.hits, calls) == (hits, [])
 
+    def test_limit_is_checked_once_per_dim_before_any_scan(self, monkeypatch):
+        # at t = 2 over GF(3) dims 1, 2 and 3 count 1, 4 and 9 messages
+        c, a_prime, _ = unit_orbits(F3, 4)
+        first_seen = list(dict.fromkeys(d for d in restricted_dims(F3, 4, c, a_prime) if d))
+        counted, scans = [], []
+        count, scan = codes.low_weight_message_count, codes.rref_lightest_weights
+        monkeypatch.setattr(codes, "low_weight_message_count",
+                            lambda p, k, w: counted.append(k) or count(p, k, w))
+        monkeypatch.setattr(codes, "rref_lightest_weights",
+                            lambda *args: scans.append(args[0].shape[1]) or scan(*args))
+        with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
+            ensemble._distance_event(F3, [2], 4)(c, a_prime)
+        assert (counted, scans) == (first_seen[: first_seen.index(3) + 1], [])
+        counted.clear()
+        ensemble._distance_event(F3, [0, 2, 12], 9)(c, a_prime)
+        assert counted == first_seen and sorted(scans) == [1, 2, 3]
+
     def test_every_answer_comes_from_the_per_code_query(self, monkeypatch):
         # a refactor that answered the event without asking each code would
         # leave these counts at their true values
@@ -384,6 +410,32 @@ class TestDistanceEvent:
         for rep in mc_delta_probs(F3, 5, ["0.106", "0.3"], 100, seed=42):
             assert rep.hits == rep.trials
         assert [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])] == [0, 0]
+
+    def test_a_broken_scan_changes_the_sweeps(self, monkeypatch):
+        # a scan that finds no light word makes every trial at t < 3m a hit and
+        # empties the exact row at t = 3 < 3m; t = 12 = 3m is answered without it
+        leq = [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])]
+        monkeypatch.setattr(codes, "rref_lightest_weights",
+                            lambda rref, p, cap: np.full(len(rref), cap + 1))
+        for rep in mc_delta_probs(F3, 5, ["0.106", "0.3"], 100, seed=42):
+            assert rep.hits == rep.trials
+        assert leq[0] and [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])] == [
+            0, leq[1]]
+
+    def test_answers_equal_each_codes_own_query(self):
+        # on every unit orbit (the zero code first) and at t = 0 and t >= 3m
+        for q, m in ((3, 4), (5, 3), (7, 3)):
+            field = PrimeField(q)
+            c, a_prime, _ = unit_orbits(field, m)
+            assert not (c[0].any() or a_prime[0].any())
+            built = [construct_code(RingElement(field, 2 * m, tuple(x + x)),
+                                     RingElement(field, m, tuple(y)))
+                      for x, y in zip(c.tolist(), a_prime.tolist())]
+            for ts in (list(range(3 * m + 2)), [0, 2, 3 * m], [0, 3 * m + 1]):
+                answers = ensemble._distance_event(field, ts, 10**6)(c, a_prime)
+                expected = [[code.has_word_of_weight_at_most(t) for t in ts] for code in built]
+                assert answers.shape == (len(c), len(ts)) and answers.tolist() == expected
+                assert not answers[0].any() and answers.any() and not answers.all()
 
 
 class TestUnitOrbits:

@@ -488,6 +488,9 @@ def coset_idempotents(field: PrimeField, n: int) -> tuple[RingElement, ...]:
     p = field.p
     cosets = cyclotomic_cosets(n, p).cosets
     one = RingElement.one(field, n)
+    if len(cosets) <= 2:  # e_{0} and, for n > 1, the rest of 1
+        e_0 = RingElement(field, n, (pow(n, -1, p),) * n)
+        return (e_0, one - e_0)[: len(cosets)]
     pieces = [one]
     for c, coset in ((c, coset) for c in range(p) for coset in cosets):
         if len(pieces) == len(cosets):

@@ -10,9 +10,11 @@ Construction is one scan of the span matrix (the 2m circulant rows), run over
 a whole stack of codes at once: dim is its rank, the rows it keeps are the
 generator matrix. The same scan of circ(b) gives the dimension and basis of
 any ideal <b> of R_n (ensemble.ideal_basis), at every n, and codeword_blocks
-enumerates the words of a code or an ideal from its basis. One weighted-pivot
-scan answers a stack's threshold queries (lightest_word_weights, one
-rref_lightest_weights call per RREF shape). The polynomial
+enumerates the words of a code or an ideal from its basis. A stack's
+threshold queries are answered by one scan per RREF shape
+(lightest_word_weights, rref_lightest_weights): two information sets for
+restricted codes whose w- and v-projections have full rank, else one
+weighted-pivot scan (scan_plan). The polynomial
 description, two complementary monic divisors of X^{2m}-1 (a generator
 polynomial g and a check polynomial h with g*h = X^{2m}-1 and dim = deg h),
 is derived from (a, a') when g or h is first read.
@@ -29,6 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import Poly, PrimeField, RingElement, check_coprime, poly_gcd
+from .algebra import coset_idempotents, cyclotomic_cosets
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -226,14 +229,29 @@ class Qc15Code:
 
     field: PrimeField
     m: int
-    a: RingElement
-    a_prime: RingElement
     dim: int
     gen_matrix: np.ndarray = dc_field(repr=False)
     rref: np.ndarray = dc_field(repr=False)  # RREF of gen_matrix
     # (cap, lightest_word_weight(cap)) of the widest scan so far; (0, 1) holds
     # for every nonzero code
     lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False)
+    # a restricted code whose w- and v-projections both have rank dim
+    # (restricted_codes): the threshold scan may use two information sets
+    full_projections: bool = dc_field(default=False, repr=False)
+
+    @cached_property
+    def a(self) -> RingElement:
+        """Row 0 of gen_matrix, the encoding of X^0, to column 2m (0 for the zero code)."""
+        return RingElement.from_coeffs(self.field, 2 * self.m, self._row_0[: 2 * self.m])
+
+    @cached_property
+    def a_prime(self) -> RingElement:
+        """The rest of row 0 of gen_matrix."""
+        return RingElement.from_coeffs(self.field, self.m, self._row_0[2 * self.m :])
+
+    @property
+    def _row_0(self) -> list[int]:
+        return self.gen_matrix[:1].ravel().tolist()  # empty for the zero code
 
     @cached_property
     def g(self) -> Poly:
@@ -356,7 +374,26 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     gen, rref = full[:dim], rref[:dim]
     gen.setflags(write=False)
     rref.setflags(write=False)
-    return Qc15Code(a.field, a_prime.n, a, a_prime, int(dim), gen, rref)
+    return Qc15Code(a.field, a_prime.n, int(dim), gen, rref)
+
+
+@lru_cache(maxsize=None)
+def coset_projection(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The circulants of the primitive idempotents of R_m side by side, and
+    the sizes of their cosets, read-only."""
+    blocks = np.hstack([circulant_matrix(e) for e in coset_idempotents(field, m)])
+    sizes = np.array([len(coset) for coset in cyclotomic_cosets(m, field.p).cosets])
+    for array in (blocks, sizes):
+        array.setflags(write=False)
+    return blocks, sizes
+
+
+def coset_support(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+    """The (2, B, cosets) stack of whether c[k] e_C and a'[k] e_C are nonzero,
+    from one product for the (B, m) stacks c and a'."""
+    blocks, _ = coset_projection(field, c.shape[1])
+    projected = gf_matmul(np.vstack([c, a_prime]), blocks, field.p)
+    return projected.reshape(2, len(c), -1, c.shape[1]).any(axis=3)
 
 
 def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list[Qc15Code]:
@@ -365,50 +402,72 @@ def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> l
 
     For a = c || c, rows i and i + m of the span matrix are equal, and so are
     columns j and j + m for j < m. So the scan runs over the (B, m, 2m) stack
-    [circ(c) | circ(a')] and copies the c block into gen_matrix and rref.
+    [circ(c) | circ(a')] and copies the c block into gen_matrix and rref. The
+    code is {(w, w, v) : (w, v) in R_m (c, a')}, so its w-projection <c> has
+    rank dim when c e_C != 0 on every coset C where (c, a') e_C != 0, and
+    likewise <a'>: full_projections when the two supports are equal.
     """
     m, j = c.shape[1], np.arange(c.shape[1])
     blocks = np.concatenate([circulant_matrix(c), circulant_matrix(a_prime)], axis=2)
     dims, rrefs = leading_independent_rows(blocks, field.p)
+    on_c, on_a_prime = coset_support(field, c, a_prime)
+    full = (on_c == on_a_prime).all(axis=1).tolist()
     cols = np.concatenate([j, j, m + j])
     gens, rrefs = blocks[:, :, cols], rrefs[:, :, cols]
     for stack in (gens, rrefs):
         stack.setflags(write=False)
-    return [Qc15Code(field, m, *(RingElement(field, len(v), tuple(v)) for v in (x + x, y)),
-                     int(d), gen[:d], rref[:d])
-            for x, y, d, gen, rref in zip(c.tolist(), a_prime.tolist(), dims, gens, rrefs)]
+    return [Qc15Code(field, m, int(d), gen[:d], rref[:d], full_projections=f)
+            for d, gen, rref, f in zip(dims, gens, rrefs, full)]
 
 
-def rref_lightest_weights(rref: np.ndarray, p: int, cap: int) -> np.ndarray:
-    """min(d_min, cap + 1) of each nonzero code of a (B, dim, length) stack of
-    RREFs, with no limit check.
+def scan_plan(p: int, dim: int, full: bool, cap: int) -> tuple[int, int]:
+    """(a, b): the threshold scan tries messages of plain weight <= a in the
+    RREF and, for b >= 1, those of plain weight <= b in the v-systematic
+    form. Two information sets need full projections: then the (a, b) with
+    2a + b >= cap - 2 and the fewest candidates, the smaller b on a tie (b = 0
+    builds no v-form). Otherwise (cap, -1): the weighted scan alone."""
+    if not full:
+        return cap, -1
+    plans = [((cap - 1 - b) // 2, b) for b in range(max(cap - 1, 1))]
+    return min(plans, key=lambda plan: (plan_candidates(p, dim, plan), plan[1]))
 
-    The scan is a weighted pivot argument on the RREF R of each code. A column
-    of R whose only nonzero entry sits in row r is a multiple of pivot column
-    r, so y @ R is nonzero there exactly when y_r is. With mult[r] such
-    columns in row r, they carry sum(mult[r] for y_r != 0) of the weight of
-    y @ R, so every word of weight <= cap comes from a message where that sum
-    is <= cap (low_weight_messages), and the product is taken over the other
-    columns only; on a restricted pair mult = 2 on the u-part's pivots. The
-    codes are grouped by sorted mult, sharing one candidate block, whose
-    product is taken against the group's non-single columns (as many per
-    code) side by side, in blocks of about PRODUCT_BLOCK entries.
+
+def plan_candidates(p: int, dim: int, plan: tuple[int, int]) -> int:
+    """The candidate messages a plan (a, b) counts against the limit."""
+    return sum(low_weight_message_count(p, dim, w) for w in plan)
+
+
+def _weighted_scan(
+    rref: np.ndarray, p: int, budget: np.ndarray, cap: int, counted: np.ndarray
+) -> np.ndarray:
+    """min(cap + 1, the least weight of y @ R) for each R = rref[i] of a (B,
+    dim, length) stack, over the y whose counted single columns weigh <= budget[i].
+
+    A column of R whose only nonzero entry sits in row r is a multiple of pivot
+    column r, so y @ R is nonzero there exactly when y_r is. With mult[r] such
+    counted columns in row r, they carry sum(mult[r] for y_r != 0) of the
+    weight of y @ R, so a word missed weighs more than the budget there, and
+    the product is taken over the other columns only. Codes of equal budget
+    and sorted mult share one candidate block (low_weight_messages), whose
+    product is taken against their other columns side by side, in blocks of
+    about PRODUCT_BLOCK entries.
     """
     (count, dim, length), at = rref.shape, np.arange(len(rref))
-    single = (rref != 0).sum(axis=1) == 1
+    single = ((rref != 0).sum(axis=1) == 1) & counted
     mult = ((rref != 0) & single[:, None]).sum(axis=2)
     rows = np.argsort(mult, axis=1, kind="stable")
-    # the non-single columns first, as many as the widest code has
+    # the other columns first, as many as the widest code has
     cols = np.argsort(single, axis=1, kind="stable")[:, : length - single.sum(axis=1).min()]
     rest = rref[at[:, None, None], rows[:, :, None], cols[:, None, :]]
-    keys = [tuple(key) for key in np.take_along_axis(mult, rows, axis=1).tolist()]
+    keys = [(w,) + tuple(key) for w, key in
+            zip(budget.tolist(), np.take_along_axis(mult, rows, axis=1).tolist())]
     best = np.full(count, cap + 1)
     for key in dict.fromkeys(keys):
         group = [i for i, k in enumerate(keys) if k == key]
-        width = length - sum(key)  # every single column counts once in mult
+        width = length - sum(key[1:])  # every counted single column counts once in mult
         side_by_side = rest[group, :, :width].transpose(1, 0, 2).reshape(dim, -1)
-        cand = low_weight_messages(p, key, cap)
-        base = (cand != 0) @ np.array(key)
+        cand = low_weight_messages(p, key[1:], key[0])
+        base = (cand != 0) @ np.array(key[1:])
         step = max(1, PRODUCT_BLOCK // max(side_by_side.shape[1], 1))
         for lo in range(0, len(cand), step):
             words = gf_matmul(cand[lo : lo + step], side_by_side, p)
@@ -418,22 +477,51 @@ def rref_lightest_weights(rref: np.ndarray, p: int, cap: int) -> np.ndarray:
     return best
 
 
+def rref_lightest_weights(rref: np.ndarray, p: int, cap: int, b: np.ndarray) -> np.ndarray:
+    """min(d_min, cap + 1) of each nonzero code of a (B, dim, 3m) stack of
+    RREFs, b[i] the second bound of code i's scan_plan, with no limit check.
+
+    b = -1: one weighted scan over every single column, to budget cap. b >= 0
+    (full projections, so every pivot lies in w): the scan counts only w and
+    its copy, to budget cap - b - 1, so it tries every y of plain weight <= a
+    and a word missed weighs at least 2(a + 1) there; for b >= 1 the pivots
+    of the v-systematic form (one leading_independent_rows call, v columns
+    first) are scanned to budget b on v. A word both miss weighs at least
+    2(a + 1) + (b + 1) > cap: with b = 0 no v-form is needed, as v is an
+    information set and every nonzero word is nonzero there.
+    """
+    length = rref.shape[2]
+    w_side = np.arange(length) < 2 * length // 3
+    best = _weighted_scan(rref, p, cap - b - 1, cap, w_side | (b < 0)[:, None])
+    two = b >= 1
+    if two.any():
+        v_first = np.roll(np.arange(length), length // 3)
+        _, vform = leading_independent_rows(rref[two][:, :, v_first], p)
+        best[two] = np.minimum(best[two], _weighted_scan(vform, p, b[two], cap, ~w_side[v_first]))
+    return best
+
+
 def lightest_word_weights(
     codes: Sequence[Qc15Code], cap: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> list[int]:
     """lightest_word_weight(cap, limit) of each code of a stack over one field;
     the codes whose memo is narrower than cap are scanned, one
-    rref_lightest_weights call per RREF shape, and keep the result. The limit
-    bounds, for each dim scanned, the messages of plain weight <= cap; it is
-    checked before the scan, and a stack of memo hits checks nothing."""
+    rref_lightest_weights call per RREF shape, and keep the result. Each dim
+    and projection flag gets one scan_plan, whose candidates the limit bounds
+    (plan_candidates); every plan is checked before any scan, and a stack of
+    memo hits checks nothing."""
     todo = [code for code in codes if code.dim and cap > code.lightest[0]]
-    for dim in dict.fromkeys(code.dim for code in todo):
-        n_cand = low_weight_message_count(todo[0].field.p, dim, cap)
+    p = todo[0].field.p if todo else 0
+    plans = {key: scan_plan(p, *key, cap) for key in
+             dict.fromkeys((code.dim, code.full_projections) for code in todo)}
+    for (dim, _), plan in plans.items():
+        n_cand = plan_candidates(p, dim, plan)
         if n_cand > limit:
             raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
     for shape in dict.fromkeys(code.rref.shape for code in todo):
         same = [code for code in todo if code.rref.shape == shape]
-        best = rref_lightest_weights(np.stack([code.rref for code in same]), same[0].field.p, cap)
+        b = np.array([plans[code.dim, code.full_projections][1] for code in same])
+        best = rref_lightest_weights(np.stack([code.rref for code in same]), p, cap, b)
         for code, lightest in zip(same, best.tolist()):
             object.__setattr__(code, "lightest", (cap, lightest))
     return [min(code.lightest[1], cap + 1) if code.dim else cap + 1 for code in codes]

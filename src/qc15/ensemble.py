@@ -72,7 +72,8 @@ from .codes import (
     PRODUCT_BLOCK,
     circulant_matrix,
     codeword_blocks,
-    gf_matmul,
+    coset_projection,
+    coset_support,
     leading_independent_rows,
     lightest_word_weights,
     restricted_codes,
@@ -463,25 +464,12 @@ def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     return event
 
 
-@lru_cache(maxsize=None)
-def _coset_projection(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The circulants of the primitive idempotents of R_m side by side, and
-    the sizes of their cosets, read-only."""
-    blocks = np.hstack([circulant_matrix(e) for e in coset_idempotents(field, m)])
-    sizes = np.array([len(coset) for coset in cyclotomic_cosets(m, field.p).cosets])
-    for array in (blocks, sizes):
-        array.setflags(write=False)
-    return blocks, sizes
-
-
 def restricted_dims(field: PrimeField, m: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
     """The code dimension of each restricted pair (c[k] || c[k], a'[k]), from
     one product for the whole stack and no row scan: the code is
     {(w, w, v) : (w, v) in R_m (c, a')}, so its dimension is the sum of |C|
-    over the cosets C where (c, a') e_C != 0."""
-    blocks, sizes = _coset_projection(field, m)
-    projected = gf_matmul(np.vstack([c, a_prime]), blocks, field.p)
-    return projected.reshape(2, len(c), -1, m).any(axis=(0, 3)) @ sizes
+    over the cosets C where (c, a') e_C != 0 (coset_support)."""
+    return coset_support(field, c, a_prime).any(axis=0) @ coset_projection(field, m)[1]
 
 
 def _fullrank_event(field: PrimeField, m: int) -> Event:

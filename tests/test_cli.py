@@ -43,9 +43,11 @@ HEADER = "q,m,delta,mode,trials,hits,estimate,exact,bound,zero_code_fraction,see
 # exact value is attached), the undefined bound, and both full-rank modes;
 # thresholds unsorted, repeated, 0 and past every word weight, several per
 # exact row, and only 0 and 3m at an m whose candidate count is far past the
-# limit, which scan nothing; and a sweep stopped by the candidate limit at its
-# second m, which has no stdout and pins exit code and stderr instead. Any
-# change to the bytes fails here.
+# limit, which scan nothing; a sweep at m = 31 and delta = 0.07 whose codes
+# have full projections, so two information sets keep its scan (900
+# candidates per code) under the default limit; and a sweep stopped by the
+# candidate limit at its second m, which has no stdout and pins exit code and
+# stderr instead. Any change to the bytes fails here.
 GOLDEN_SWEEPS = {
     "exact-delta": (
         "--m 2,4 --delta 0.34 --exact",
@@ -113,7 +115,11 @@ GOLDEN_SWEEPS = {
         "--m 4,11 --delta 0.05,0.3 --exact --max-enum 100 --trials 3 --seed 2",
         None,
         3,
-        "error: 29012 candidate messages exceed the limit 100\n",
+        "error: 590 candidate messages exceed the limit 100\n",
+    ),
+    "two-information-sets-at-m-31": (
+        "--m 31 --delta 0.07 --trials 3 --seed 1",
+        "3,31,0.07,montecarlo,3,3,1.0,,0.2085379683405273,0.0,1,\n",
     ),
     "thresholds-needing-no-scan": (
         "--m 31 --delta 0,1 --trials 3 --seed 1",

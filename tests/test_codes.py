@@ -6,6 +6,7 @@ generator matrices and full codeword sets are pinned here verbatim.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import count, product
 
@@ -27,6 +28,7 @@ from qc15.codes import (
     leading_independent_rows,
     lightest_word_weights,
     restricted_codes,
+    scan_plan,
     span_matrix,
 )
 from qc15.algebra import coset_idempotents
@@ -482,9 +484,12 @@ class TestStackedScan:
         built = restricted_codes(field, c, a_prime)
         assert len(built) == len(c)
         for code, x, y, span in zip(built, c.tolist(), a_prime.tolist(), spans):
-            ref = construct_code(RingElement(field, 2 * len(x), tuple(x + x)),
-                                 RingElement(field, len(y), tuple(y)))
-            assert (code.a, code.a_prime, code.dim) == (ref.a, ref.a_prime, ref.dim)
+            a = RingElement(field, 2 * len(x), tuple(x + x))
+            ap = RingElement(field, len(y), tuple(y))
+            ref = construct_code(a, ap)
+            # a and a' are read back from row 0 of gen_matrix, the zero code's too
+            assert (code.a, code.a_prime, ref.a, ref.a_prime) == (a, ap, a, ap)
+            assert code.dim == ref.dim
             assert code.dim == gf_rank(span, field.p)
             assert np.array_equal(code.gen_matrix, span[: code.dim])
             assert np.array_equal(code.gen_matrix, ref.gen_matrix)
@@ -764,16 +769,40 @@ def all_restricted_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def distance_oracle(code: Qc15Code) -> float:
     """d_min by min_distance, inf for the zero code; a code of dim 1 has the
-    scalar multiples of its one row as words, so d_min is that row's weight."""
+    scalar multiples of its one row as words, so d_min is that row's weight.
+    Past the enumeration limit a word of a dim-2 code y @ G vanishes on the
+    nonzero columns of G on the line y^perp, so d_min is the number of
+    nonzero columns less the most that lie on one line."""
+    p = code.field.p
     if code.dim == 1:
         return int(np.count_nonzero(code.gen_matrix))
+    if code.dim == 2 and p**2 > codes.DEFAULT_ENUM_LIMIT:
+        cols = [(x, y) for x, y in code.gen_matrix.T.tolist() if x or y]
+        lines = Counter((1, y * pow(x, -1, p) % p) if x else (0, 1) for x, y in cols)
+        return len(cols) - max(lines.values())
     return code.min_distance().distance if code.dim else math.inf
+
+
+def projection_ranks(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list:
+    """(rank <c>, rank <a'>) of each pair: the ranks of the two circulants."""
+    return [tuple(gf_rank(circulant_matrix(np.array(v)), field.p) for v in pair)
+            for pair in zip(c.tolist(), a_prime.tolist())]
+
+
+def short_sides(field, c, a_prime, built) -> set[str]:
+    """Which projections, w (<c>) or v (<a'>), fall short of some code's dim."""
+    ranks = projection_ranks(field, c, a_prime)
+    return {side for (w, v), code in zip(ranks, built)
+            for side, rank in (("w", w), ("v", v)) if rank < code.dim}
 
 
 class TestStackedThresholdScan:
     """lightest_word_weights on whole stacks against min(d_min, cap + 1)."""
 
-    def assert_matches_oracle(self, field, c, a_prime, caps) -> list[Qc15Code]:
+    def assert_matches_oracle(self, field, c, a_prime, caps) -> tuple[list[Qc15Code], set]:
+        """The scan against the oracle at each cap, and the flag against the
+        projection ranks; returns the codes and the second bounds b of the
+        plans that ran (-1: the weighted scan alone, see scan_plan)."""
         built = restricted_codes(field, c, a_prime)
         distances = [distance_oracle(code) for code in built]
         for cap in caps:
@@ -781,24 +810,64 @@ class TestStackedThresholdScan:
             expected = [min(d, cap + 1) for d in distances]
             assert lightest_word_weights(stack, cap) == expected
             assert [code.lightest_word_weight(cap) for code in stack] == expected
-        return built
+        ranks = projection_ranks(field, c, a_prime)
+        assert [code.full_projections for code in built] == [
+            w == v == code.dim for code, (w, v) in zip(built, ranks)]
+        bs = {scan_plan(field.p, code.dim, code.full_projections, cap)[1]
+              for code in built if code.dim for cap in caps if cap}
+        return built, bs
 
     def test_every_restricted_pair_q3_m4_as_one_stack_at_every_cap(self):
         c, a_prime = all_restricted_pairs(4)
-        built = self.assert_matches_oracle(F3, c, a_prime, range(13))
+        built, bs = self.assert_matches_oracle(F3, c, a_prime, range(13))
         assert len(built) == 729 and {code.dim for code in built} == {0, 1, 2, 3}
+        assert bs == {-1, 0, 1}
+        assert short_sides(F3, c, a_prime, built) == {"w", "v"}
 
-    @pytest.mark.parametrize("q, m", ((5, 6), (7, 4), (P_LARGE, 2)))
+    @pytest.mark.parametrize(
+        "q, m", ((5, 6), (7, 4), (P_LARGE, 2), (3, 8), (5, 4), (7, 3), (P_31, 2)))
     def test_sampled_stacks_mixing_dims_with_the_zero_pair(self, q, m):
+        # codes with full projections, with a short w- and a short v-projection
         field = PrimeField(q)
         c, a_prime = sampled_pairs(field, m, seed=q + 1)
         e = circulant_matrix(coset_idempotents(field, m)[-1])
         c[1::3], a_prime[1::3] = gf_matmul(c[1::3], e, q), gf_matmul(a_prime[1::3], e, q)
+        c[::7], a_prime[3::7] = 0, 0
         zero = np.zeros((1, m), dtype=np.int64)
         c, a_prime = np.vstack([c, zero]), np.vstack([a_prime, zero])
-        built = self.assert_matches_oracle(field, c, a_prime, range(3 * m + 1))
+        built, bs = self.assert_matches_oracle(field, c, a_prime, range(3 * m + 1))
         dims = {code.dim for code in built}
         assert 0 in dims and len(dims) >= (2 if m == 2 else 3)
+        assert short_sides(field, c, a_prime, built) == {"w", "v"}
+        assert bs == {-1, 0} if m == 2 else {-1, 0, 1} <= bs
+
+    @pytest.mark.parametrize("q", (5, 7))
+    def test_every_unit_orbit_at_m_4(self, q):
+        # dim-2 codes of weight 6 with plan (1, 1) at caps 6 and 7: a word
+        # weighing 4 on w and 2 on v, which a v bound of 2(b + 1) would miss
+        field = PrimeField(q)
+        c, a_prime = orbit_pairs(field, 4)
+        _, bs = self.assert_matches_oracle(field, c, a_prime, range(13))
+        assert {-1, 0, 1} <= bs
+
+    def test_v_form_above_2_31(self, monkeypatch):
+        # m = 3, dims up to 2 (P_31 = 1 mod 3: three cosets of size 1); at
+        # cap 5 a dim-2 code with full projections takes plan (1, 1), 2 + 2
+        # candidates where plain weight 2 alone needs p + 1. Codes of dim 2
+        # with a short projection would need p + 1 past cap 1: left out
+        field = PrimeField(P_31)
+        c, a_prime = sampled_pairs(field, 3, seed=6)
+        c[::7], a_prime[3::7] = 0, 0
+        keep = [code.full_projections or code.dim < 2
+                for code in restricted_codes(field, c, a_prime)]
+        c, a_prime = c[keep], a_prime[keep]
+        vforms = []
+        real = codes.leading_independent_rows
+        monkeypatch.setattr(codes, "leading_independent_rows",
+                            lambda mat, p: vforms.append(mat.shape) or real(mat, p))
+        built, bs = self.assert_matches_oracle(field, c, a_prime, range(6))
+        assert {-1, 0, 1} <= bs and short_sides(field, c, a_prime, built)
+        assert (sum(code.dim == 2 and code.full_projections for code in built), 2, 9) in vforms
 
     def test_oracle_codes_one_stack_per_field(self):
         # unrestricted pairs (mult 1), non-unit multiples of a pivot column
@@ -813,9 +882,11 @@ class TestStackedThresholdScan:
 
     def test_group_without_a_non_single_column(self, monkeypatch):
         # a dim-1 code of full support at m = 2 has one row and every column
-        # single: its group's product has width 0
+        # single: built by construct_code (no projection flag, so the weighted
+        # scan counts every column), its group's product has width 0
         c, a_prime = np.array([[1, 2], [2, 1], [1, 2]]), np.array([[1, 2], [1, 2], [2, 1]])
-        stack = restricted_codes(F3, c, a_prime)
+        stack = [construct_code(RingElement(F3, 4, tuple(x + x)), RingElement(F3, 2, tuple(y)))
+                 for x, y in zip(c.tolist(), a_prime.tolist())]
         assert [code.min_distance().distance for code in stack] == [6, 6, 6]
         widths = []
         real = codes.gf_matmul
@@ -846,27 +917,35 @@ class TestStackedThresholdScan:
         assert len(sizes) > 100 and max(sizes) <= codes.PRODUCT_BLOCK
 
     def test_limit_is_checked_once_per_dim_for_the_first_code_over_it(self, monkeypatch):
-        # at cap 2 over GF(3): dim 1 has 1 message of plain weight <= 2, dim 2
-        # has 4 and dim 3 has 9
+        # at cap 2 a code with full projections needs no candidate (plan
+        # (0, 0): every nonzero word weighs 2 on w and 1 on v); the others
+        # count the messages of plain weight <= 2 over GF(3): 1, 4 and 9 at
+        # dims 1, 2 and 3
         c, a_prime = orbit_pairs(F3, 4)
         stack = restricted_codes(F3, c, a_prime)
-        dims = [code.dim for code in stack]
-        assert set(dims) == {0, 1, 2, 3}
-        counted = []
-        real = codes.low_weight_message_count
-        monkeypatch.setattr(codes, "low_weight_message_count",
-                            lambda p, k, w: counted.append(k) or real(p, k, w))
+        kinds = [(code.dim, code.full_projections) for code in stack if code.dim]
+        assert set(kinds) == {(d, f) for d in (1, 2, 3) for f in (True, False)}
+        planned = []
+        real = codes.scan_plan
+        monkeypatch.setattr(codes, "scan_plan",
+                            lambda p, dim, full, cap: planned.append((dim, full))
+                            or real(p, dim, full, cap))
         low = [code for code in stack if code.dim < 3]
         assert lightest_word_weights(low, 2, limit=4) == [
             min(distance_oracle(code), 3) for code in low]
-        # a zero code is never scanned, so its dim is not counted
-        assert counted == list(dict.fromkeys(code.dim for code in low if code.dim))
+        # a zero code is never scanned, so its dim is not planned
+        assert planned == list(dict.fromkeys((code.dim, code.full_projections)
+                                             for code in low if code.dim))
+        full3 = [code for code in restricted_codes(F3, c, a_prime)
+                 if code.dim == 3 and code.full_projections]
+        assert lightest_word_weights(full3, 2, limit=0) == [3] * len(full3)
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
             lightest_word_weights(stack, 2, limit=4)
-        by_dim = {code.dim: code for code in restricted_codes(F3, c, a_prime)}  # empty memos
+        short = {code.dim: code for code in restricted_codes(F3, c, a_prime)  # empty memos
+                 if not (code.full_projections and code.dim)}
         for order, first in (((0, 1, 3), 1), ((0, 3, 1), 9)):
             with pytest.raises(EnumerationTooLarge, match=f"^{first} candidate messages"):
-                lightest_word_weights([by_dim[d] for d in order], 2, limit=0)
+                lightest_word_weights([short[d] for d in order], 2, limit=0)
 
     def test_narrower_cap_after_a_stacked_call_runs_no_scan(self, monkeypatch):
         c, a_prime = orbit_pairs(F3, 5)

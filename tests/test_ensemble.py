@@ -360,8 +360,8 @@ class TestDistanceEvent:
         scans = []
         real = codes.rref_lightest_weights
         monkeypatch.setattr(codes, "rref_lightest_weights",
-                            lambda stack, p, cap: scans.append((len(stack), stack.shape[1], cap))
-                            or real(stack, p, cap))
+                            lambda stack, p, cap, b: scans.append((len(stack), stack.shape[1], cap))
+                            or real(stack, p, cap, b))
         # at m = 4 the thresholds are t = 1, 3 and 12 = 3m, which needs no scan,
         # and the codes have dims 1, 2 and 3; the trials, then the attached
         # exact row's unit orbits
@@ -386,21 +386,27 @@ class TestDistanceEvent:
         assert (rep.hits, calls) == (hits, [])
 
     def test_limit_is_checked_once_per_dim_before_any_scan(self, monkeypatch):
-        # at t = 2 over GF(3) dims 1, 2 and 3 count 1, 4 and 9 messages
+        # at t = 2 over GF(3) a code with full projections needs no candidate,
+        # and the others of dims 1, 2 and 3 count 1, 4 and 9 messages; one
+        # plan per dim and projection flag, all before any scan
         c, a_prime, _ = unit_orbits(F3, 4)
-        first_seen = list(dict.fromkeys(d for d in restricted_dims(F3, 4, c, a_prime) if d))
-        counted, scans = [], []
-        count, scan = codes.low_weight_message_count, codes.rref_lightest_weights
-        monkeypatch.setattr(codes, "low_weight_message_count",
-                            lambda p, k, w: counted.append(k) or count(p, k, w))
+        built = codes.restricted_codes(F3, c, a_prime)
+        kinds = [(code.dim, code.full_projections) for code in built]
+        first_seen = list(dict.fromkeys(kind for kind in kinds if kind[0]))
+        assert len(first_seen) == 6
+        planned, scans = [], []
+        plan, scan = codes.scan_plan, codes.rref_lightest_weights
+        monkeypatch.setattr(codes, "scan_plan",
+                            lambda p, dim, full, cap: planned.append((dim, full))
+                            or plan(p, dim, full, cap))
         monkeypatch.setattr(codes, "rref_lightest_weights",
                             lambda *args: scans.append(args[0].shape[1]) or scan(*args))
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
             ensemble._distance_event(F3, [2], 4)(c, a_prime)
-        assert (counted, scans) == (first_seen[: first_seen.index(3) + 1], [])
-        counted.clear()
+        assert (planned, scans) == (first_seen, [])
+        planned.clear()
         ensemble._distance_event(F3, [0, 2, 12], 9)(c, a_prime)
-        assert counted == first_seen and sorted(scans) == [1, 2, 3]
+        assert planned == first_seen and sorted(scans) == [1, 2, 3]
 
     def test_every_answer_comes_from_the_per_code_query(self, monkeypatch):
         # a refactor that answered the event without asking each code would
@@ -416,7 +422,7 @@ class TestDistanceEvent:
         # empties the exact row at t = 3 < 3m; t = 12 = 3m is answered without it
         leq = [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])]
         monkeypatch.setattr(codes, "rref_lightest_weights",
-                            lambda rref, p, cap: np.full(len(rref), cap + 1))
+                            lambda rref, p, cap, b: np.full(len(rref), cap + 1))
         for rep in mc_delta_probs(F3, 5, ["0.106", "0.3"], 100, seed=42):
             assert rep.hits == rep.trials
         assert leq[0] and [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])] == [

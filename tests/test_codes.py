@@ -850,12 +850,13 @@ class TestStackedThresholdScan:
         _, bs = self.assert_matches_oracle(field, c, a_prime, range(13))
         assert {-1, 0, 1} <= bs
 
-    def test_v_form_above_2_31(self, monkeypatch):
-        # m = 3, dims up to 2 (P_31 = 1 mod 3: three cosets of size 1); at
-        # cap 5 a dim-2 code with full projections takes plan (1, 1), 2 + 2
+    @pytest.mark.parametrize("p", (P_31, P_LARGE))
+    def test_v_form_above_2_31(self, monkeypatch, p):
+        # m = 3, dims up to 2 (p = 1 mod 3: three cosets of size 1); at cap 5
+        # a dim-2 code with full projections takes plan (1, 1), 2 + 2
         # candidates where plain weight 2 alone needs p + 1. Codes of dim 2
         # with a short projection would need p + 1 past cap 1: left out
-        field = PrimeField(P_31)
+        field = PrimeField(p)
         c, a_prime = sampled_pairs(field, 3, seed=6)
         c[::7], a_prime[3::7] = 0, 0
         keep = [code.full_projections or code.dim < 2

@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -478,31 +480,46 @@ def coset_idempotents(field: PrimeField, n: int) -> tuple[RingElement, ...]:
     """The primitive idempotents e_C of R_n, one per p-cyclotomic coset C mod n,
     in cyclotomic_cosets order: dim e_C R_n = |C|, e_{0} = (1 + ... + X^(n-1))/n.
 
-    f^p = f iff f is constant on the cosets, so the coset sums span the
-    Frobenius-fixed subalgebra, GF(p)^(cosets) with unit vectors e_C. Each piece
-    of 1 is split by Lagrange interpolation on the values {0, 1, -1} of
-    h = (s + c)^((p-1)/2), s a coset sum, c = 0, 1, ...: into 1 - h^2 and
-    (h^2 +- h)/2; cosets where s takes v != w part at c = -v at the latest.
-    Which e_C of a size goes with which coset of that size depends on a
-    choice of root of unity, which nothing here fixes."""
+    f^p = f iff f is constant on the cosets, so the coset sums s_C span the
+    Frobenius-fixed subalgebra, GF(p)^(cosets) with unit vectors e_C. The
+    split runs there, on coordinates in the basis s_C: s_A s_B = sum_R N s_R,
+    N the number of (x, y) in A x B with x + y = r mod n for any r in R.
+    Each piece of 1 is split by Lagrange interpolation on the values
+    {0, 1, -1} of h = (s + c)^((p-1)/2), s a coset sum, c = 0, 1, ...: into
+    1 - h^2 and (h^2 +- h)/2; cosets where s takes v != w part at c = -v at
+    the latest. The pieces are expanded to R_n at the end. A piece e R_n is
+    GF(p^d), d = |C|, and X e generates it, so d is the least d >= 1 with
+    (X e)^(p^d) = X e, i.e. X^(p^d - 1) e = e. Which e_C of a size goes with
+    which coset of that size depends on a choice of root of unity, which
+    nothing here fixes."""
     p = field.p
     cosets = cyclotomic_cosets(n, p).cosets
-    one = RingElement.one(field, n)
     if len(cosets) <= 2:  # e_{0} and, for n > 1, the rest of 1
         e_0 = RingElement(field, n, (pow(n, -1, p),) * n)
-        return (e_0, one - e_0)[: len(cosets)]
-    pieces = [one]
-    for c, coset in ((c, coset) for c in range(p) for coset in cosets):
-        if len(pieces) == len(cosets):
+        return (e_0, RingElement.one(field, n) - e_0)[: len(cosets)]
+    k, sizes, j = len(cosets), [len(coset) for coset in cosets], np.arange(n)
+    label = np.repeat(np.arange(k), sizes)[np.argsort(np.concatenate(cosets))]  # j's coset
+    table = np.zeros((k, k, k), dtype=np.int64)
+    np.add.at(table, (label[:, None], label, label[(j[:, None] + j) % n]), 1)  # N |R|
+    dtype = np.int64 if (p - 1) ** 2 * k < 2**63 else object  # as codes._gf_dtype
+    table = (table // sizes % p).astype(dtype).reshape(k, k * k)
+    # each row of u times each row of v, (len(u), len(v), k)
+    mul = lambda u, v: v @ (u @ table % p).reshape(len(u), k, k) % p
+    one = np.eye(1, k, dtype=dtype)  # s_{0} = 1, as cosets[0] = (0,)
+    pieces = one
+    for c, i in ((c, i) for c in range(p) for i in range(k)):
+        if len(pieces) == k:
             break
-        x = RingElement(field, n, tuple((j in coset) + c * (j == 0) for j in range(n)))
-        h = one
-        for bit in bin((p - 1) // 2)[2:]:
-            h = h * h * x if bit == "1" else h * h
-        h2 = h * h
-        parts = (one - h2, (h2 + h).scale(field.half), (h2 - h).scale(field.half))
-        pieces = [y for e in pieces for part in parts if not (y := e * part).is_zero()]
-    dim = lambda e: n - e.lift().gcd(Poly.x_pow_minus_one(field, n)).degree
-    pieces.sort(key=lambda e: (dim(e), len(set(e.coeffs)) > 1, e.coeffs))  # e_{0} first
-    slots = sorted(range(len(cosets)), key=lambda i: len(cosets[i]))
-    return tuple(pieces[slots.index(i)] for i in range(len(cosets)))
+        x = h = (one * c + np.eye(1, k, i, dtype=dtype)) % p
+        for bit in bin((p - 1) // 2)[3:]:
+            h = mul(mul(h, h)[0], x)[0] if bit == "1" else mul(h, h)[0]
+        h2 = mul(h, h)[0]
+        parts = np.vstack([one - h2, (h2 + h) * field.half, (h2 - h) * field.half]) % p
+        pieces = mul(pieces, parts).reshape(-1, k)
+        pieces = pieces[(pieces != 0).any(axis=1)]
+    coeffs = [tuple(e) for e in pieces[:, label].tolist()]
+    # X^(p^d - 1) e is e rotated by 1 - p^d mod n, i.e. cut at n + 1 - (p^d mod n)
+    dim = lambda e: next(d for d in count(1) if e[(cut := n + 1 - pow(p, d, n)):] + e[:cut] == e)
+    coeffs.sort(key=lambda e: (dim(e), len(set(e)) > 1, e))  # e_{0} first
+    slots = sorted(range(k), key=lambda i: len(cosets[i]))
+    return tuple(RingElement(field, n, coeffs[slots.index(i)]) for i in range(k))

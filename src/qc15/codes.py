@@ -42,6 +42,7 @@ from .errors import (
 
 DEFAULT_ENUM_LIMIT = 2**24
 PRODUCT_BLOCK = 1 << 14  # entries per product mod p: one BLAS thread, arrays below 128 KiB
+SMALL_SUM = 1 << 16  # sums of products of residues below it take tables (gf_matmul)
 
 
 # -- words ---------------------------------------------------------------------
@@ -85,13 +86,30 @@ def _gf_dtype(p: int, terms: int = 1) -> type:
     return np.int64 if (p - 1) ** 2 * terms < 2**63 else object
 
 
+@lru_cache(maxsize=None)
+def _residues(p: int, top: int) -> np.ndarray:
+    """i mod p for i = 0..top, read-only."""
+    out = np.arange(top + 1, dtype=np.int64) % p
+    out.setflags(write=False)
+    return out
+
+
 def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p for entries in [0, p), as int64: a float64 BLAS product
-    where a sum of a.shape[1] terms stays below 2^53 (exact there), else in _gf_dtype."""
-    if (p - 1) ** 2 * a.shape[1] < 2**53:
+    """Exact (A @ B) mod p for entries in [0, p), as int64, k = a.shape[1].
+
+    Every partial sum of the product is an integer in [0, (p-1)^2 k]. Below
+    SMALL_SUM = 2^16 a float32 BLAS product is exact in any summation order, as
+    float32 holds every integer below 2^24, and its residues are read from a
+    table of (p-1)^2 k + 1 entries (_residues). Below 2^53 the product is
+    taken in float64 and reduced by np.remainder; past that, in _gf_dtype."""
+    k = a.shape[1]
+    if (p - 1) ** 2 * k < SMALL_SUM:
+        out = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.intp)
+        return _residues(p, (p - 1) ** 2 * k)[out]
+    if (p - 1) ** 2 * k < 2**53:
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, p, out=out)
-    dtype = _gf_dtype(p, a.shape[1])
+    dtype = _gf_dtype(p, k)
     return np.mod(a.astype(dtype) @ b.astype(dtype), p).astype(np.int64, copy=False)
 
 
@@ -130,9 +148,9 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     rrefs[b, :dims[b]] the RREF of the rows b keeps, in pivot order, zero below.
 
     At row i a matrix whose reduced row i is nonzero keeps it: it pivots on
-    the first nonzero column, scales the row by the lead's inverse and clears
-    that column from all rows in one broadcast, so the kept rows end reduced.
-    On the span of a cyclic module, circ(b) or a code's, they are the first
+    the first nonzero column, scales the row by the lead's inverse (from a
+    table where (p-1)^2 < SMALL_SUM) and clears that column from all rows in
+    one broadcast, so the kept rows end reduced. On the span of a cyclic module, circ(b) or a code's, they are the first
     dims[b] rows (construct_code says why): a basis. Row i and the pivot
     column are reduced mod p when read, each update is subtracted unreduced,
     and the stack is reduced once per `fit` rows: after k updates an entry
@@ -146,6 +164,8 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     fit = max(1, ((2**31 if dtype is np.int32 else 2**63) - p) // (p - 1) ** 2)
     (count, n_rows, n_cols), at = work.shape, np.arange(len(work))
     order = np.tile(n_cols + np.arange(n_rows), (count, 1))  # pivot if kept, else past all
+    small = (p - 1) ** 2 < SMALL_SUM  # x^-1 at index x, 0 at 0
+    inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype) if small else None
     for i in range(n_rows):
         if i % fit == 0:
             work = work % p
@@ -154,7 +174,8 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
         lead = row[at, c]
         if not lead.any():
             continue
-        inv = np.array([pow(x, -1, p) if x else 0 for x in lead.tolist()], dtype=work.dtype)
+        inv = (inverses[lead] if small else
+               np.array([pow(x, -1, p) if x else 0 for x in lead.tolist()], dtype=work.dtype))
         row = row * inv[:, None] % p
         work = work - (work[at, :, c] % p)[:, :, None] * row[:, None, :]
         work[:, i] = row
@@ -450,7 +471,8 @@ def _weighted_scan(
     the product is taken over the other columns only. Codes of equal budget
     and sorted mult share one candidate block (low_weight_messages), whose
     product is taken against their other columns side by side, in blocks of
-    about PRODUCT_BLOCK entries.
+    about PRODUCT_BLOCK entries. The columns are laid out width-major, so
+    each code's weight is a sum of `width` planes of the nonzero mask.
     """
     (count, dim, length), at = rref.shape, np.arange(len(rref))
     single = ((rref != 0).sum(axis=1) == 1) & counted
@@ -465,14 +487,14 @@ def _weighted_scan(
     for key in dict.fromkeys(keys):
         group = [i for i, k in enumerate(keys) if k == key]
         width = length - sum(key[1:])  # every counted single column counts once in mult
-        side_by_side = rest[group, :, :width].transpose(1, 0, 2).reshape(dim, -1)
+        side_by_side = rest[group, :, :width].transpose(1, 2, 0).reshape(dim, -1)
         cand = low_weight_messages(p, key[1:], key[0])
         base = (cand != 0) @ np.array(key[1:])
         step = max(1, PRODUCT_BLOCK // max(side_by_side.shape[1], 1))
         for lo in range(0, len(cand), step):
-            words = gf_matmul(cand[lo : lo + step], side_by_side, p)
-            weights = base[lo : lo + step, None] + np.count_nonzero(
-                words.reshape(len(words), len(group), width), axis=2)
+            words = gf_matmul(cand[lo : lo + step], side_by_side, p) != 0
+            weights = base[lo : lo + step, None] + words.reshape(
+                len(words), width, len(group)).sum(axis=1)
             best[group] = np.minimum(best[group], weights.min(axis=0))
     return best
 
@@ -509,7 +531,8 @@ def lightest_word_weights(
     rref_lightest_weights call per RREF shape, and keep the result. Each dim
     and projection flag gets one scan_plan, whose candidates the limit bounds
     (plan_candidates); every plan is checked before any scan, and a stack of
-    memo hits checks nothing."""
+    memo hits checks nothing. A plan (0, 0) tries no message, so its codes
+    keep cap + 1 without a scan."""
     todo = [code for code in codes if code.dim and cap > code.lightest[0]]
     p = todo[0].field.p if todo else 0
     plans = {key: scan_plan(p, *key, cap) for key in
@@ -518,6 +541,10 @@ def lightest_word_weights(
         n_cand = plan_candidates(p, dim, plan)
         if n_cand > limit:
             raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
+    for code in todo:  # plan (0, 0): every nonzero word weighs >= 2 + 1 > cap
+        if plans[code.dim, code.full_projections] == (0, 0):
+            object.__setattr__(code, "lightest", (cap, cap + 1))
+    todo = [code for code in todo if cap > code.lightest[0]]
     for shape in dict.fromkeys(code.rref.shape for code in todo):
         same = [code for code in todo if code.rref.shape == shape]
         b = np.array([plans[code.dim, code.full_projections][1] for code in same])

@@ -28,6 +28,7 @@ from qc15.codes import (
     leading_independent_rows,
     lightest_word_weights,
     restricted_codes,
+    rref_lightest_weights,
     scan_plan,
     span_matrix,
 )
@@ -435,6 +436,32 @@ class TestOverflowBoundary:
         product = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
                    for row in a.tolist()]
         assert gf_matmul(a, b, p).tolist() == product
+
+    # gf_matmul takes a float32 product and table residues while (p - 1)^2 *
+    # inner < 2^16: inner = 1 and the widest inner on that side, then one past
+    # it; row 0 and column 0 are p - 1, so the largest sum reads the table's
+    # last entry
+    @pytest.mark.parametrize("p", (3, 5, 7, 251))
+    def test_residue_table_edge_matches_object_ints(self, monkeypatch, p):
+        tables = []
+        real = codes._residues
+        monkeypatch.setattr(codes, "_residues",
+                            lambda p, top: tables.append(top) or real(p, top))
+        edge = (2**16 - 1) // (p - 1) ** 2
+        rng = np.random.default_rng(p)
+        for inner in (1, edge, edge + 1):
+            a, b = rng.integers(0, p, size=(6, inner)), rng.integers(0, p, size=(inner, 5))
+            a[0], b[:, 0] = p - 1, p - 1
+            out = gf_matmul(a, b, p)
+            assert out.dtype == np.int64
+            assert out.tolist() == (a.astype(object) @ b.astype(object) % p).tolist()
+        assert tables == [(p - 1) ** 2 * inner for inner in (1, edge)]
+
+    @pytest.mark.parametrize("p", (P_31, P_LARGE))
+    def test_no_residue_table_past_2_16(self, monkeypatch, p):
+        monkeypatch.setattr(codes, "_residues", None)  # any call fails
+        a, b = np.full((2, 3), p - 1), np.full((3, 2), p - 2)
+        assert gf_matmul(a, b, p).tolist() == [[3 * (p - 1) * (p - 2) % p] * 2] * 2
 
 
 def span_stack(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
@@ -895,6 +922,45 @@ class TestStackedThresholdScan:
                             lambda a, b, p: widths.append(b.shape[1]) or real(a, b, p))
         assert lightest_word_weights(stack, 6) == [6, 6, 6]
         assert widths == [0]  # one product for the three codes
+
+    def test_width_0_group_beside_wider_groups(self, monkeypatch):
+        # dim-1 codes at m = 2 whose one row is (c, c, a'): full support, so
+        # every column single and width 0, then zero on w (width 4) and zero
+        # on v (width 2); one call of the weighted scan over every column
+        c, a_prime = [[1, 2], [0, 0], [1, 1]], [[1, 2], [1, 2], [0, 0]]
+        stack = [construct_code(RingElement(F3, 4, tuple(x + x)), RingElement(F3, 2, tuple(y)))
+                 for x, y in zip(c, a_prime)]
+        distances = [code.min_distance().distance for code in stack]
+        assert distances == [6, 2, 4]
+        widths = []
+        real = codes.gf_matmul
+        monkeypatch.setattr(codes, "gf_matmul",
+                            lambda a, b, p: widths.append(b.shape[1]) or real(a, b, p))
+        rrefs = np.stack([code.rref for code in stack])
+        for cap in range(1, 8):
+            widths.clear()
+            best = rref_lightest_weights(rrefs, 3, cap, np.full(3, -1))
+            assert best.tolist() == [min(d, cap + 1) for d in distances]
+            # a code's block holds its one row once cap reaches that row's weight
+            assert sorted(widths) == sorted(w for w, d in zip((0, 4, 2), distances) if d <= cap)
+
+    def test_full_projections_below_cap_3_scan_nothing(self, monkeypatch):
+        # plan (0, 0): every nonzero word weighs 2 on w and its copy and 1 on v
+        c, a_prime = orbit_pairs(F3, 5)
+        keep = [code.full_projections and code.dim > 0 for code in restricted_codes(F3, c, a_prime)]
+        c, a_prime = c[keep], a_prime[keep]
+        distances = [distance_oracle(code) for code in restricted_codes(F3, c, a_prime)]
+        assert len(distances) > 10
+        scans = []
+        real = codes._weighted_scan
+        monkeypatch.setattr(codes, "_weighted_scan",
+                            lambda rref, *args: scans.append(len(rref)) or real(rref, *args))
+        for cap in (1, 2, 3):
+            stack = restricted_codes(F3, c, a_prime)
+            assert lightest_word_weights(stack, cap) == [min(d, cap + 1) for d in distances]
+            assert all(code.lightest == (cap, min(d, cap + 1))
+                       for code, d in zip(stack, distances))
+            assert (sum(scans) > 0) == (cap == 3)
 
     def test_blocks_of_one_entry(self, monkeypatch):
         c, a_prime = (x[::4] for x in orbit_pairs(F3, 7))

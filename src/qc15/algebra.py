@@ -45,6 +45,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def exact_dtype(p: int, terms: int = 1) -> type:
+    """The narrowest of int32, int64 and object ints that holds a sum of
+    `terms` products of two residues mod p."""
+    top = (p - 1) ** 2 * terms
+    return np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
+
+
 class PrimeField:
     """The prime field GF(p) for an odd prime p >= 3.
 
@@ -501,7 +508,7 @@ def coset_idempotents(field: PrimeField, n: int) -> tuple[RingElement, ...]:
     label = np.repeat(np.arange(k), sizes)[np.argsort(np.concatenate(cosets))]  # j's coset
     table = np.zeros((k, k, k), dtype=np.int64)
     np.add.at(table, (label[:, None], label, label[(j[:, None] + j) % n]), 1)  # N |R|
-    dtype = np.int64 if (p - 1) ** 2 * k < 2**63 else object  # as codes._gf_dtype
+    dtype = exact_dtype(p, k)
     table = (table // sizes % p).astype(dtype).reshape(k, k * k)
     # each row of u times each row of v, (len(u), len(v), k)
     mul = lambda u, v: v @ (u @ table % p).reshape(len(u), k, k) % p

@@ -289,8 +289,8 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "bounds":
             return _cmd_bounds(args)
         raise ValidationError(f"unknown command {args.command}")
-    except EnumerationTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EnumerationTooLarge, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_LIMIT
     except (ValidationError, QC15Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

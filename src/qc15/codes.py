@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Poly, PrimeField, RingElement, check_coprime, poly_gcd
+from .algebra import Poly, PrimeField, RingElement, check_coprime, exact_dtype, poly_gcd
 from .algebra import coset_idempotents, cyclotomic_cosets
 from .errors import (
     DimensionMismatch,
@@ -81,11 +81,6 @@ class Word:
 # -- GF(p) matrix helpers --------------------------------------------------------
 
 
-def _gf_dtype(p: int, terms: int = 1) -> type:
-    """int64 where a sum of `terms` products of two residues fits, else object ints."""
-    return np.int64 if (p - 1) ** 2 * terms < 2**63 else object
-
-
 @lru_cache(maxsize=None)
 def _residues(p: int, top: int) -> np.ndarray:
     """i mod p for i = 0..top, read-only."""
@@ -101,7 +96,7 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     SMALL_SUM = 2^16 a float32 BLAS product is exact in any summation order, as
     float32 holds every integer below 2^24, and its residues are read from a
     table of (p-1)^2 k + 1 entries (_residues). Below 2^53 the product is
-    taken in float64 and reduced by np.remainder; past that, in _gf_dtype."""
+    taken in float64 and reduced by np.remainder; past that, in exact_dtype."""
     k = a.shape[1]
     if (p - 1) ** 2 * k < SMALL_SUM:
         out = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.intp)
@@ -109,34 +104,15 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if (p - 1) ** 2 * k < 2**53:
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, p, out=out)
-    dtype = _gf_dtype(p, k)
+    dtype = exact_dtype(p, k)
     return np.mod(a.astype(dtype) @ b.astype(dtype), p).astype(np.int64, copy=False)
 
 
 def gf_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (R, pivot_columns), zero rows dropped.
-    Computed in _gf_dtype(p): a product of two entries must fit."""
-    m = np.array(mat, dtype=_gf_dtype(p)) % p
-    n_rows, n_cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
-        pivots.append(c)
-        r += 1
-    return m[: len(pivots)].astype(np.int64), pivots
+    """Reduced row echelon form over GF(p); returns (R, pivot_columns), zero rows
+    dropped: the row scan of a stack of one, whose kept rows lead at their pivots."""
+    (dim,), (rref,) = leading_independent_rows(np.asarray(mat)[None], p)
+    return rref[:dim], [int(np.flatnonzero(row)[0]) for row in rref[:dim]]
 
 
 def gf_rank(mat: np.ndarray, p: int) -> int:
@@ -150,23 +126,23 @@ def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     At row i a matrix whose reduced row i is nonzero keeps it: it pivots on
     the first nonzero column, scales the row by the lead's inverse (from a
     table where (p-1)^2 < SMALL_SUM) and clears that column from all rows in
-    one broadcast, so the kept rows end reduced. On the span of a cyclic module, circ(b) or a code's, they are the first
-    dims[b] rows (construct_code says why): a basis. Row i and the pivot
-    column are reduced mod p when read, each update is subtracted unreduced,
-    and the stack is reduced once per `fit` rows: after k updates an entry
-    lies in [-k (p-1)^2, p-1], so the scan runs in the narrowest of int32 and
-    int64 where a product of two residues fits, which holds fit = (2^31 or
-    2^63 - p) // (p-1)^2 of them (p = 3 reduces only at the end, p > 2^31
-    after every row, in object ints past int64).
+    one broadcast, so the kept rows end reduced; with no columns, none is
+    kept. On the span of a cyclic module, circ(b) or a code's, they are the
+    first dims[b] rows (construct_code says why): a basis. Row i and the
+    pivot column are reduced mod p when read, each update is subtracted
+    unreduced, and the stack is reduced once per `fit` rows: after k updates
+    an entry lies in [-k (p-1)^2, p-1], so the scan runs in exact_dtype(p),
+    which holds fit = (2^31 or 2^63 - p) // (p-1)^2 of them (p = 3 reduces
+    only at the end, p > 2^31 after every row, in object ints past int64).
     """
-    dtype = np.int32 if (p - 1) ** 2 < 2**31 else _gf_dtype(p)
+    dtype = exact_dtype(p)
     work = np.array(mat, dtype=dtype)
     fit = max(1, ((2**31 if dtype is np.int32 else 2**63) - p) // (p - 1) ** 2)
     (count, n_rows, n_cols), at = work.shape, np.arange(len(work))
     order = np.tile(n_cols + np.arange(n_rows), (count, 1))  # pivot if kept, else past all
     small = (p - 1) ** 2 < SMALL_SUM  # x^-1 at index x, 0 at 0
     inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype) if small else None
-    for i in range(n_rows):
+    for i in range(n_rows if n_cols else 0):
         if i % fit == 0:
             work = work % p
         row = work[:, i] % p

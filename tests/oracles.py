@@ -1,0 +1,29 @@
+"""Plain-Python references shared by the test modules; nothing here calls qc15."""
+
+import numpy as np
+
+
+def gauss_jordan(rows, p: int) -> list[list[int]]:
+    """Reduced row echelon form over GF(p) of a 2-D array or list of rows, in
+    plain Python ints, zero rows dropped: the reference for the row scan
+    (leading_independent_rows, and gf_rref read off it) at any p."""
+    rows = [[x % p for x in row] for row in np.asarray(rows).tolist()]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+def rank(rows, p: int) -> int:
+    """The rank over GF(p), by gauss_jordan."""
+    return len(gauss_jordan(rows, p))

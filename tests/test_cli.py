@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from qc15 import codes
 from qc15.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -368,6 +369,21 @@ class TestSweep:
                                "0.4", "--trials", "5", "--seed", "1")
         assert (rc, err) == (0, "")
         assert out == HEADER + "4294967311,2,0.4,montecarlo,5,5,1.0,,1297.8439299160966,0.0,1,\n"
+
+    @pytest.mark.parametrize("message, line", (
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 3.20 GiB", "error: Unable to allocate 3.20 GiB\n"),
+    ))
+    def test_failed_allocation_exits_3(self, capsys, monkeypatch, message, line):
+        # a candidate block too large to allocate is a resource limit, reported
+        # as one line; the stand-in allocates nothing
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(codes, "low_weight_messages", no_memory)
+        rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--m", "5", "--delta", "0.3",
+                               "--trials", "5", "--seed", "1")
+        assert (rc, out, err) == (3, "", line)
 
     @pytest.mark.parametrize("seed", ("abc", "-1"))
     def test_bad_seed_environment_exits_2(self, capsys, monkeypatch, seed):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qc15 import codes
-from qc15.algebra import Poly, PrimeField, RingElement, is_prime
+from qc15.algebra import Poly, PrimeField, RingElement, exact_dtype, is_prime
 from qc15.codes import (
     Qc15Code,
     Word,
@@ -49,6 +49,7 @@ from qc15.errors import (
     RingMismatch,
     ZeroCode,
 )
+from oracles import gauss_jordan, rank
 
 F3 = PrimeField(3)
 
@@ -271,8 +272,8 @@ class TestConstructCode:
             for _ in range(15):
                 a, ap = random_pair(rnd, F3, m)
                 code = construct_code(a, ap)
-                assert gf_rank(span_matrix(a, ap), 3) == code.dim
-                assert gf_rank(code.gen_matrix, 3) == code.dim
+                assert rank(span_matrix(a, ap), 3) == code.dim
+                assert rank(code.gen_matrix, 3) == code.dim
 
 
 def kept_rows_cases():
@@ -304,7 +305,7 @@ class TestKeptRows:
             code = construct_code(a, ap)
             span, p = span_matrix(a, ap), code.field.p
             (dim,), (rref,) = leading_independent_rows(span[None], p)
-            assert gf_rank(span[:dim], p) == dim == code.dim == gf_rank(span, p)
+            assert rank(span[:dim], p) == dim == code.dim == rank(span, p)
             assert np.array_equal(rref[:dim], code.rref)
             # the rank agrees with the polynomial description
             assert code.h.degree == code.dim
@@ -354,26 +355,6 @@ class TestKeptRows:
         assert len(exact_delta_leq_probs(F3, 5, deltas)) == 2
 
 
-def gauss_jordan(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form over GF(p) in plain Python ints, zero rows
-    dropped: the reference for gf_rref at any p."""
-    rows = [[x % p for x in row] for row in rows]
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return rows[:r]
-
-
 P_LARGE = 4294967311  # (p - 1)^2 > 2^63: products need object ints
 P_31 = 2147483659  # (p - 1)^2 < 2^63 < 2 (p - 1)^2
 
@@ -389,7 +370,16 @@ class TestGfRref:
             rref, pivots = gf_rref(mat, p)
             expected = gauss_jordan(mat.tolist(), p)
             assert rref.dtype == np.int64 and rref.tolist() == expected
+            assert pivots == [next(j for j, x in enumerate(row) if x) for row in expected]
             assert gf_rank(mat, p) == len(pivots) == len(expected)
+
+    def test_no_columns(self):
+        # no column to pivot on: every matrix keeps no row
+        dims, rrefs = leading_independent_rows(np.zeros((2, 3, 0), dtype=np.int64), 3)
+        assert dims.tolist() == [0, 0] and rrefs.shape == (2, 3, 0)
+        rref, pivots = gf_rref(np.zeros((3, 0), dtype=np.int64), 3)
+        assert (rref.shape, pivots) == ((0, 0), [])
+        assert gf_rank(np.zeros((3, 0), dtype=np.int64), 3) == 0
 
 
 INT64_EDGE = math.isqrt(2**63 - 1) + 1  # (p - 1)^2 < 2^63 iff p <= INT64_EDGE
@@ -406,6 +396,15 @@ class TestOverflowBoundary:
     not; at P_ABOVE neither does. gf_matmul, gf_rref and the row scan must
     match plain Python on both sides, with entries near p for the largest
     products."""
+
+    @pytest.mark.parametrize("p, terms, dtype", (
+        (46337, 1, np.int32), (46349, 1, np.int64),  # (p - 1)^2 either side of 2^31
+        (P_BELOW, 1, np.int64), (P_ABOVE, 1, object),
+        (3, 2**29 - 1, np.int32), (3, 2**29, np.int64),  # 4 terms = 2^31
+    ))
+    def test_exact_dtype_edges(self, p, terms, dtype):
+        assert is_prime(p)
+        assert exact_dtype(p, terms) is dtype
 
     @pytest.mark.parametrize("p", (P_BELOW, P_ABOVE))
     def test_matches_plain_python(self, p):
@@ -494,15 +493,15 @@ def sampled_pairs(field: PrimeField, m: int, seed: int) -> tuple[np.ndarray, np.
 
 class TestStackedScan:
     """leading_independent_rows on (B, R, C) stacks and restricted_codes,
-    against gf_rref and construct_code one matrix at a time."""
+    against gauss_jordan and construct_code one matrix at a time."""
 
-    def assert_scan_matches_gf_rref(self, stack: np.ndarray, p: int) -> np.ndarray:
+    def assert_scan_matches_gauss_jordan(self, stack: np.ndarray, p: int) -> np.ndarray:
         dims, rrefs = leading_independent_rows(stack, p)
         assert rrefs.shape == stack.shape and rrefs.dtype == np.int64
         for mat, dim, rref in zip(stack, dims, rrefs):
-            expected, pivots = gf_rref(mat, p)
-            assert dim == len(pivots)
-            assert np.array_equal(rref[:dim], expected)
+            expected = gauss_jordan(mat, p)
+            assert dim == len(expected)
+            assert rref[:dim].tolist() == expected
             assert not rref[dim:].any()
         return dims
 
@@ -517,31 +516,31 @@ class TestStackedScan:
             # a and a' are read back from row 0 of gen_matrix, the zero code's too
             assert (code.a, code.a_prime, ref.a, ref.a_prime) == (a, ap, a, ap)
             assert code.dim == ref.dim
-            assert code.dim == gf_rank(span, field.p)
+            assert code.dim == rank(span, field.p)
             assert np.array_equal(code.gen_matrix, span[: code.dim])
             assert np.array_equal(code.gen_matrix, ref.gen_matrix)
             assert np.array_equal(code.rref, ref.rref)
-            assert np.array_equal(code.rref, gf_rref(span, field.p)[0])
+            assert code.rref.tolist() == gauss_jordan(span, field.p)
 
     @pytest.mark.parametrize("m", (1, 2, 4, 5, 7))
     def test_unit_orbit_stacks_q3(self, m):
         c, a_prime = orbit_pairs(F3, m)
-        self.assert_scan_matches_gf_rref(span_stack(F3, c, a_prime), 3)
+        self.assert_scan_matches_gauss_jordan(span_stack(F3, c, a_prime), 3)
         self.assert_codes_match(F3, c, a_prime)
 
     def test_every_restricted_pair_q3_m4_as_one_stack(self):
         left, right = restricted_elements(F3, 4)
         stack = np.stack([span_matrix(a, ap) for a in left for ap in right])
         assert stack.shape == (729, 8, 12)
-        dims = self.assert_scan_matches_gf_rref(stack, 3)
+        dims = self.assert_scan_matches_gauss_jordan(stack, 3)
         assert set(dims.tolist()) == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("q, m", ((5, 6), (7, 4), (P_31, 3), (P_LARGE, 3)))
     def test_sampled_stacks_with_short_w_projections(self, q, m):
         field = PrimeField(q)
         c, a_prime = sampled_pairs(field, m, seed=q)
-        dims = self.assert_scan_matches_gf_rref(span_stack(field, c, a_prime), q)
-        w_ranks = [gf_rank(circulant_matrix(RingElement(field, m, tuple(x))), q)
+        dims = self.assert_scan_matches_gauss_jordan(span_stack(field, c, a_prime), q)
+        w_ranks = [rank(circulant_matrix(RingElement(field, m, tuple(x))), q)
                    for x in c.tolist()]
         # both kinds occur: the w-projection spans the code or falls short of it
         assert {w == d for w, d in zip(w_ranks, dims.tolist())} == {True, False}
@@ -556,7 +555,7 @@ class TestStackedScan:
         worst = np.array([[1, 0, p - 1, p - 1], [p - 1, 1, 0, 0], [p - 1, p - 1, 0, 1]])
         rng = np.random.default_rng(7)
         stack = np.concatenate([worst[None], p - 1 - rng.integers(0, 4, size=(5, 3, 4))])
-        assert list(self.assert_scan_matches_gf_rref(stack, p)[:1]) == [3]
+        assert list(self.assert_scan_matches_gauss_jordan(stack, p)[:1]) == [3]
 
     def test_exact_sweep_scans_at_most_trial_block_codes_at_once(self, monkeypatch):
         stacks = []
@@ -751,7 +750,7 @@ class TestLowWeightSearch:
     def test_stored_rref_matches_gf_rref(self, m):
         for a, ap in restricted_pairs(m):
             code = construct_code(a, ap)
-            assert np.array_equal(code.rref, gf_rref(code.gen_matrix, 3)[0])
+            assert code.rref.tolist() == gauss_jordan(code.gen_matrix, 3)
 
     def test_limit_counts_plain_weight_candidates(self):
         # the weighted scan tries fewer messages, but the limit still counts
@@ -812,7 +811,7 @@ def distance_oracle(code: Qc15Code) -> float:
 
 def projection_ranks(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list:
     """(rank <c>, rank <a'>) of each pair: the ranks of the two circulants."""
-    return [tuple(gf_rank(circulant_matrix(np.array(v)), field.p) for v in pair)
+    return [tuple(rank(circulant_matrix(np.array(v)), field.p) for v in pair)
             for pair in zip(c.tolist(), a_prime.tolist())]
 
 

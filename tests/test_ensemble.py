@@ -20,7 +20,7 @@ from qc15.algebra import (
     min_factor_degree,
 )
 from qc15.bounds import ideal_expectation_bound
-from qc15.codes import circulant_matrix, construct_code, generator_poly, gf_rank
+from qc15.codes import circulant_matrix, construct_code, generator_poly
 from qc15.ensemble import (
     TRIAL_BLOCK,
     _pair_source,
@@ -46,6 +46,7 @@ from qc15.ensemble import (
     weight_threshold,
 )
 from qc15.errors import DomainError, EmptyTrialSet, EnumerationTooLarge, NotCoprime
+from oracles import rank
 
 F3 = PrimeField(3)
 
@@ -194,7 +195,7 @@ class TestIdealDim:
                     b = b * RingElement.from_poly(rnd.choice(factors), n)
                 dim, basis = ideal_dim(b), ideal_basis(b)
                 assert dim == n - b.lift().gcd(target).degree  # the gcd rule it replaced
-                assert dim == gf_rank(circulant_matrix(b), q) == gf_rank(basis, q)
+                assert dim == rank(circulant_matrix(b), q) == rank(basis, q)
                 assert np.array_equal(basis, circulant_matrix(b)[:dim])
                 dims.add(dim)
             assert len(dims) > 1

@@ -99,7 +99,7 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     taken in float64 and reduced by np.remainder; past that, in exact_dtype."""
     k = a.shape[1]
     if (p - 1) ** 2 * k < SMALL_SUM:
-        out = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.intp)
+        out = (a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)).astype(np.intp)
         return _residues(p, (p - 1) ** 2 * k)[out]
     if (p - 1) ** 2 * k < 2**53:
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
@@ -464,6 +464,8 @@ def _weighted_scan(
         group = [i for i, k in enumerate(keys) if k == key]
         width = length - sum(key[1:])  # every counted single column counts once in mult
         side_by_side = rest[group, :, :width].transpose(1, 2, 0).reshape(dim, -1)
+        if (p - 1) ** 2 * dim < SMALL_SUM:  # cast once for gf_matmul's float32 product
+            side_by_side = side_by_side.astype(np.float32)
         cand = low_weight_messages(p, key[1:], key[0])
         base = (cand != 0) @ np.array(key[1:])
         step = max(1, PRODUCT_BLOCK // max(side_by_side.shape[1], 1))

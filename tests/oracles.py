@@ -1,5 +1,7 @@
 """Plain-Python references shared by the test modules; nothing here calls qc15."""
 
+import math
+
 import numpy as np
 
 
@@ -27,3 +29,21 @@ def gauss_jordan(rows, p: int) -> list[list[int]]:
 def rank(rows, p: int) -> int:
     """The rank over GF(p), by gauss_jordan."""
     return len(gauss_jordan(rows, p))
+
+
+def multiplier_class_count(codes, m: int, p: int) -> int:
+    """The number of codes of length 3m, laid out (w, copy of w, v) and each
+    given by its generator rows, up to the multipliers X -> X^s for the units
+    s mod m, which move coordinate i of each third to s i mod m: the distinct
+    least gauss_jordan forms of each code's images."""
+    units = [s for s in range(m) if math.gcd(s, m) == 1]
+
+    def image(rows, s):
+        out = [[0] * (3 * m) for _ in rows]
+        for new, row in zip(out, rows):
+            for j, x in enumerate(row):
+                new[j // m * m + j % m * s % m] = x
+        return out
+
+    return len({min(tuple(map(tuple, gauss_jordan(image(rows, s), p))) for s in units)
+                for rows in (np.asarray(code).tolist() for code in codes)})

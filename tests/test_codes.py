@@ -35,8 +35,8 @@ from qc15.codes import (
 from qc15.algebra import coset_idempotents
 from qc15.ensemble import (
     TRIAL_BLOCK,
-    _pair_source,
     _sample_block,
+    _unit_orbits,
     exact_delta_leq_probs,
     mc_delta_probs,
     restricted_elements,
@@ -49,7 +49,7 @@ from qc15.errors import (
     RingMismatch,
     ZeroCode,
 )
-from oracles import gauss_jordan, rank
+from oracles import gauss_jordan, multiplier_class_count, rank
 
 F3 = PrimeField(3)
 
@@ -482,7 +482,7 @@ def short_w_projections(field: PrimeField, c: np.ndarray) -> np.ndarray:
 
 
 def orbit_pairs(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]:
-    c, a_prime, _ = (np.concatenate(part) for part in zip(*_pair_source(field, m)))
+    c, a_prime, _ = _unit_orbits(field, m)
     return c, a_prime
 
 
@@ -565,9 +565,12 @@ class TestStackedScan:
             stacks.append(len(mat))
             return real(mat, p)
 
+        # one code per unit orbit's code up to the multipliers X -> X^s
+        classes = multiplier_class_count(
+            [code.rref for code in restricted_codes(F3, *orbit_pairs(F3, 7))], 7, 3)
         monkeypatch.setattr(codes, "leading_independent_rows", record)
         exact_delta_leq_probs(F3, 7, ["0.106", "0.3"])
-        assert sum(stacks) == 731  # one code per unit orbit
+        assert sum(stacks) == classes == 132
         assert max(stacks) <= TRIAL_BLOCK
 
 

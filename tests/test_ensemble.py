@@ -46,7 +46,7 @@ from qc15.ensemble import (
     weight_threshold,
 )
 from qc15.errors import DomainError, EmptyTrialSet, EnumerationTooLarge, NotCoprime
-from oracles import rank
+from oracles import multiplier_class_count, rank
 
 F3 = PrimeField(3)
 
@@ -76,8 +76,13 @@ def pair_sweep(q: int, m: int) -> tuple[tuple[int, ...], int]:
 
 
 def unit_orbits(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, a', sizes): one pair of each unit orbit and the orbit's size."""
+    return ensemble._unit_orbits(field, m)
+
+
+def multiplier_classes(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact source's (c, a', sizes) joined over its stacks, each of at
-    most TRIAL_BLOCK orbits."""
+    most TRIAL_BLOCK classes."""
     stacks = list(_pair_source(field, m))
     assert all(len(sizes) <= TRIAL_BLOCK for _, _, sizes in stacks)
     c, a_prime, sizes = (np.concatenate(part) for part in zip(*stacks))
@@ -500,6 +505,75 @@ class TestUnitOrbits:
         assert [(r.trials, r.hits) for r in reports] == [
             (4782969, 46656), (4782969, 556488), (4782969, 2229848)
         ]
+
+
+# (q, m) where the multiplier classes are checked against the orbits at every t
+CLASS_SPACES = ((3, 2), (3, 4), (3, 5), (3, 7), (3, 8), (5, 3), (5, 4), (7, 3), (7, 4))
+
+
+class TestMultiplierClasses:
+    @pytest.mark.parametrize(
+        "q, m, classes",
+        ((3, 2, 5), (3, 4, 40), (3, 5, 26), (3, 7, 132), (3, 8, 2040), (5, 3, 17),
+         (5, 4, 196), (7, 3, 45), (7, 4, 270)),
+    )
+    def test_class_sizes_sum_to_the_pair_count(self, q, m, classes):
+        field = PrimeField(q)
+        c, a_prime, sizes = multiplier_classes(field, m)
+        assert len(sizes) == classes and sizes.sum() == q ** (2 * (m - 1))
+        # each class stands for orbits: its pair is one of the representatives,
+        # the zero pair alone first
+        reps = set(map(tuple, np.hstack(unit_orbits(field, m)[:2]).tolist()))
+        assert set(map(tuple, np.hstack([c, a_prime]).tolist())) <= reps
+        assert sizes[0] == 1 and not (c[0].any() or a_prime[0].any())
+
+    @pytest.mark.parametrize("q, m", CLASS_SPACES)
+    def test_hits_equal_the_orbit_engine_at_every_t(self, q, m):
+        # the orbit engine: every unit orbit, as one stack
+        field, ts, orbits = PrimeField(q), list(range(3 * m + 1)), [unit_orbits(PrimeField(q), m)]
+        n, hits, zero_codes = ensemble._tally(
+            orbits, ensemble._distance_event(field, ts, 10**7), len(ts))
+        reports = exact_delta_leq_probs(field, m, [Fraction(t, 3 * m) for t in ts], 10**7)
+        assert [(r.trials, r.hits, r.zero_code_fraction) for r in reports] == [
+            (n, h, zero_codes / n) for h in hits]
+        _, (fullrank,), _ = ensemble._tally(orbits, ensemble._fullrank_event(field, m), 1)
+        assert fullrank_census(field, m, 10**7) == Fraction(fullrank, n)
+
+    @pytest.mark.parametrize("q, m", ((3, 4), (3, 5), (3, 7), (5, 3), (7, 3)))
+    def test_class_count_is_the_codes_up_to_multipliers(self, q, m):
+        # the orbits span every code once (TestUnitOrbits); count those codes
+        # up to X -> X^s by brute force
+        field = PrimeField(q)
+        built = codes.restricted_codes(field, *unit_orbits(field, m)[:2])
+        assert len(multiplier_classes(field, m)[2]) == multiplier_class_count(
+            [code.rref for code in built], m, q)
+
+    @pytest.mark.parametrize("p", (1453, 4294967311))
+    def test_key_ranks_the_exact_least_image(self, p):
+        # p = 1 mod 3: three cosets of size 1 at m = 3, so a representative
+        # is (sum of x_C e_C, sum of y_C e_C) with (x_C, y_C) one of (0, 0),
+        # (0, 1) and (1, y). p^6 >= 2^63 from p = 1453 on, and at 4294967311
+        # each side's base-p value passes int64 too
+        field, rng = PrimeField(p), random.Random(p)
+        e = [np.array(x.coeffs, dtype=object) for x in coset_idempotents(field, 3)[1:]]
+        choices = [rng.choice([(0, 0), (0, 1), (1, rng.randrange(p))]) for _ in range(400)]
+        rows = [[sum(x * f for (x, _), f in zip(pair, e)) % p,
+                 sum(y * f for (_, y), f in zip(pair, e)) % p]
+                for pair in zip(choices[::2], choices[1::2])]
+        # each pair's image under mu_2 is a representative too
+        rows += [[np.roll(x[::-1], 1) for x in row] for row in rows[::3]]
+        c, a_prime = (np.array([row[k] for row in rows], dtype=np.int64) for k in (0, 1))
+
+        def value(x, y, s):
+            return sum(int(v) * p ** (i * s % 3 + 3 * half)
+                       for half, z in enumerate((x, y)) for i, v in enumerate(z))
+
+        least = [min(value(x, y, s) for s in (1, 2)) for x, y in zip(c, a_prime)]
+        assert p**6 >= 2**63
+        keys = ensemble._class_keys(p, c, a_prime).tolist()
+        assert len(set(keys)) < len(keys)  # the mu_2 images share their pair's key
+        assert [sorted(set(keys)).index(k) for k in keys] == [
+            sorted(set(least)).index(v) for v in least]
 
 
 class TestMcDeltaProb:

@@ -34,17 +34,20 @@ a' e_C) lies in GF(q^d)^2 and the units act on it by the scalars of
 GF(q^d)^*, which leaves q^d + 2 orbits: zero and the q^d + 1 lines. The
 restricted pair space therefore holds prod(q^d + 2) orbits, one per code.
 With e = e_C the primitive idempotent of C (coset_idempotents), the orbits'
-representatives (c e, a' e) and sizes are: (0, 0), size 1; (0, e),
-size q^d - 1; and (e, y) for each of the q^d elements y of e R_m, size
-q^d - 1 each. A representative pair sums one choice per nonzero coset and
-its orbit's size is the product of the choices' sizes (_unit_orbits).
+representatives (c e, a' e) and sizes are the choices 0 = (0, 0), size 1;
+1 = (0, e), size q^d - 1; and 2 + j = (e, y_j) for each of the q^d elements
+y_j of e R_m, size q^d - 1 each. A representative pair sums one choice per
+nonzero coset, its orbit's size is the product of the choices' sizes, and
+its index reads the choices as mixed-radix digits, the last coset's fastest
+(_coset_choices, _unit_orbits).
 
 The multipliers mu_s: X -> X^s, s a unit mod m, are ring automorphisms of R_m
 that permute coordinates and map e_C to e_sC (Huffman-Pless, Fundamentals of
 Error-Correcting Codes, 4.3), so they map each representative to another's
 of the same size, whose code has the same weight distribution and dimension.
-The exact experiments build one code per orbit class under them, standing for
-the sum of its orbits' sizes: 6,039 codes for 60,025 orbits at q = 3, m = 11.
+The exact experiments build one code per class, its first orbit's, standing
+for the class's orbits (6,039 codes for 60,025 orbits at q = 3, m = 11), and
+find the classes a block of orbit indices at a time (_class_stacks).
 
 Reproducibility
 ---------------
@@ -59,7 +62,7 @@ Generator.integers's stream across releases: the oracle test reports a change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
@@ -314,22 +317,6 @@ def exact_low_weight_fraction(
 # -- reports -----------------------------------------------------------------------------
 
 
-CSV_FIELDS = (
-    "q",
-    "m",
-    "delta",
-    "mode",
-    "trials",
-    "hits",
-    "estimate",
-    "exact",
-    "bound",
-    "zero_code_fraction",
-    "seed",
-    "warning",
-)
-
-
 @dataclass(frozen=True)
 class EnsembleReport:
     """One experiment outcome; serializes to a fixed-width CSV row.
@@ -354,27 +341,20 @@ class EnsembleReport:
     warning: str = ""
 
     def csv_row(self) -> list[str]:
-        def num(x) -> str:
-            return "" if x is None else repr(float(x))
+        """The CSV_FIELDS columns: None empty, a Fraction or float as repr(float(x))."""
+        def text(x) -> str:
+            if x is None:
+                return ""
+            return repr(float(x)) if isinstance(x, (Fraction, float)) else str(x)
 
-        return [
-            str(self.q),
-            str(self.m),
-            num(self.delta),
-            self.mode,
-            str(self.trials),
-            str(self.hits),
-            num(self.estimate),
-            num(self.exact),
-            num(self.bound),
-            num(self.zero_code_fraction),
-            "" if self.seed is None else str(self.seed),
-            self.warning,
-        ]
+        return [text(getattr(self, name)) for name in CSV_FIELDS]
 
     def with_warning(self, text: str) -> "EnsembleReport":
         """A copy with text added to the warning column, after any warning already there."""
         return replace(self, warning="; ".join(filter(None, (self.warning, text))))
+
+
+CSV_FIELDS = tuple(f.name for f in fields(EnsembleReport))  # csv_row's columns
 
 
 # -- exact and Monte-Carlo experiments -----------------------------------------------------
@@ -411,9 +391,8 @@ def _pair_source(
     """The stacked pairs (c, a') an experiment runs over, each with the number
     of restricted pairs it stands for; checked before the first stack.
 
-    With trials None: the first pair of each class of _unit_orbits under the
-    multipliers (one _class_keys value), standing for its class, handed on
-    TRIAL_BLOCK at a time.
+    With trials None: the first unit orbit of each multiplier class, standing
+    for its class (_class_stacks), under a limit capped at 2^63 - 1 pairs.
     Otherwise: the pairs sample_pair(field, m, trial_rng(seed, i)) draws for
     i < trials, each standing for itself, in stacks of TRIAL_BLOCK trials.
     """
@@ -422,58 +401,79 @@ def _pair_source(
     check_coprime(m, field.p)
     if trials is not None:
         return (_sample_block(field, m, seed, i, trials) for i in range(0, trials, TRIAL_BLOCK))
-    pairs = field.p ** (2 * (m - 1))
+    pairs, limit = field.p ** (2 * (m - 1)), min(limit, 2**63 - 1)  # orbit indices < pairs
     if pairs > limit:
         raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
-    c, a_prime, sizes = _unit_orbits(field, m)
-    _, first, inverse = np.unique(_class_keys(field.p, c, a_prime), return_index=True,
-                                  return_inverse=True)
-    total = np.zeros(len(first), dtype=sizes.dtype)
-    np.add.at(total, inverse, sizes)
-    order = np.argsort(first)
-    c, a_prime, sizes = c[first[order]], a_prime[first[order]], total[order]
-    return ((c[i : i + TRIAL_BLOCK], a_prime[i : i + TRIAL_BLOCK], sizes[i : i + TRIAL_BLOCK])
-            for i in range(0, len(c), TRIAL_BLOCK))
+    return _class_stacks(field, m, _coset_choices(field, m))
 
 
-def _unit_orbits(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, a', sizes): one pair of each unit orbit, (0, 0) first, and the
-    orbit's size, built coset by coset as the module docstring describes."""
-    p = field.p
-    c = a_prime = np.zeros((1, m), dtype=np.int64)
-    sizes = np.ones(1, dtype=np.int64)
-    for coset, e in zip(cyclotomic_cosets(m, p).cosets, coset_idempotents(field, m)):
-        if coset == (0,):
-            continue
+@lru_cache(maxsize=None)
+def _coset_choices(field: PrimeField, m: int) -> tuple[tuple, ...]:
+    """(place, rows, sizes, moved) per nonzero coset C, in cyclotomic_cosets
+    order, read-only: rows[j] is choice j on C (module docstring), c e_C and
+    a' e_C side by side, of size sizes[j]; orbit index i takes choice
+    i // place % len(rows) on C. mu_s, s the u-th unit mod m, maps choice j to
+    a choice k on the coset C' with e_C' = mu_s(e_C): moved[u, j] is k times
+    the place of C', so the index of an orbit's image sums its choices' moved."""
+    rows, sizes = [], []
+    for coset, e in zip(cyclotomic_cosets(m, field.p).cosets[1:], coset_idempotents(field, m)[1:]):
         ys = ideal_elements(e)  # e R_m, the q^d elements y of the lines (e, y)
         zero, e_row = np.zeros((1, m), dtype=np.int64), np.array([e.coeffs])
         on_c = np.vstack([zero, zero, np.repeat(e_row, len(ys), axis=0)])
         on_a_prime = np.vstack([zero, e_row, ys])
-        factor = np.array([1] + [p ** len(coset) - 1] * (len(ys) + 1))
-        c = ((c[:, None] + on_c[None]) % p).reshape(-1, m)
-        a_prime = ((a_prime[:, None] + on_a_prime[None]) % p).reshape(-1, m)
-        sizes = (sizes[:, None] * factor[None]).ravel()
-    return c, a_prime, sizes
+        rows.append(np.hstack([on_c, on_a_prime]))
+        sizes.append(np.array([1] + [field.p ** len(coset) - 1] * (len(ys) + 1)))
+    places = [math.prod(map(len, rows[k + 1:])) for k in range(len(rows))]
+    value = {row.tobytes(): place * j for place, x in zip(places, rows) for j, row in enumerate(x)}
+    to = [np.arange(m) * s % m for s in range(m) if math.gcd(s, m) == 1]  # mu_s: k to s k
+    moved = []
+    for x in rows:
+        images = (x[:, np.argsort(np.r_[k, k + m])] for k in to)  # row j: mu_s(choice j)
+        moved.append(np.array([[value[row.tobytes()] for row in image] for image in images]))
+    for array in (*rows, *sizes, *moved):
+        array.setflags(write=False)
+    return tuple(zip(places, rows, sizes, moved))
 
 
-def _class_keys(p: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """An int64 key per pair, equal for two pairs exactly when their least
-    images mu_s(c, a') over the units s mod m are, mu_s: X -> X^s moving
-    coefficient i to s i mod m. Images are ordered by their base-p values
-    (a' side, then c side), each side dotted with the radix permuted per s
-    (in object ints once p^m passes int64); the key ranks the least image."""
-    m = c.shape[1]
-    radix = np.array([p**k for k in range(m)], dtype=np.int64 if p**m <= 2**63 else object)
-    hi = lo = None
-    for s in (s for s in range(m) if math.gcd(s, m) == 1):
-        i = np.arange(m) * s % m
-        up, low = a_prime @ radix[i], c @ radix[i]
-        if hi is not None:
-            keep = (hi < up) | (hi == up) & (lo <= low)
-            up, low = np.where(keep, hi, up), np.where(keep, lo, low)
-        hi, lo = up, low
-    (_, hi), (_, lo) = (np.unique(x, return_inverse=True) for x in (hi, lo))
-    return hi * len(lo) + lo
+def _unit_orbits(
+    field: PrimeField, m: int, index: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, a', sizes): the pair of each unit orbit in index (every orbit by
+    default, (0, 0) first), which sums its choices' rows (_coset_choices), and
+    the orbit's size, the product of theirs."""
+    choices = _coset_choices(field, m)
+    if index is None:
+        index = np.arange(math.prod(len(rows) for _, rows, *_ in choices))
+    pairs = np.zeros((len(index), 2 * m), dtype=np.int64)
+    sizes = np.ones(len(index), dtype=np.int64)
+    for place, rows, size, _ in choices:
+        j = index // place % len(rows)
+        pairs, sizes = pairs + rows[j], sizes * size[j]
+    return pairs[:, :m] % field.p, pairs[:, m:] % field.p, sizes
+
+
+def _class_stacks(field: PrimeField, m: int, choices: tuple) -> Pairs:
+    """The first unit orbit of each multiplier class in index order, standing
+    for its class, TRIAL_BLOCK at a time, from orbit indices read
+    PRODUCT_BLOCK at a time, so that memory follows the blocks and the choice
+    tables: an orbit is first when none of its images under the mu_s is
+    smaller, and its class holds #units / #(s fixing it) orbits of its size
+    (orbit-stabilizer)."""
+    total = math.prod(len(rows) for _, rows, *_ in choices)
+    units = sum(math.gcd(s, m) == 1 for s in range(m))
+    kept = np.zeros((2, 0), dtype=np.int64)  # first orbits' indices and their classes' orbits
+    for start in range(0, total, PRODUCT_BLOCK):
+        index = np.arange(start, min(start + PRODUCT_BLOCK, total), dtype=np.int64)
+        images = sum((moved[:, index // place % len(rows)] for place, rows, _, moved in choices),
+                     np.zeros((units, 1), dtype=np.int64))
+        first = (images >= index).all(axis=0)
+        kept = np.hstack([kept, [index[first], units // (images == index).sum(axis=0)[first]]])
+        n = kept.shape[1]
+        ready = n if start + PRODUCT_BLOCK >= total else n - n % TRIAL_BLOCK  # the last block: all
+        for i in range(0, ready, TRIAL_BLOCK):
+            c, a_prime, sizes = _unit_orbits(field, m, kept[0, i : i + TRIAL_BLOCK])
+            yield c, a_prime, sizes * kept[1, i : i + TRIAL_BLOCK]
+        kept = kept[:, ready:]
 
 
 def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:

@@ -41,7 +41,8 @@ HEADER = "q,m,delta,mode,trials,hits,estimate,exact,bound,zero_code_fraction,see
 # Exact stdout of small sweeps, one per branch of the sweep command: exact
 # distance rows, Monte-Carlo rows with and without the attached exact value,
 # the exact-to-Monte-Carlo fallback (also below the pair count up to which an
-# exact value is attached), the undefined bound, and both full-rank modes;
+# exact value is attached, and past 2^63 - 1 pairs at any limit), the
+# undefined bound, and both full-rank modes;
 # thresholds unsorted, repeated, 0 and past every word weight, several per
 # exact row, and only 0 and 3m at an m whose candidate count is far past the
 # limit, which scan nothing; a sweep at m = 31 and delta = 0.07 whose codes
@@ -76,6 +77,11 @@ GOLDEN_SWEEPS = {
     "fallback-under-attach-limit": (
         "--m 2 --delta 0.1 --exact --max-enum 0 --trials 5 --seed 1",
         "3,2,0.1,montecarlo,5,5,1.0,,3.8230342065123217,0.0,1,"
+        "exact sweep infeasible; fell back to montecarlo\n",
+    ),
+    "fallback-past-int64-pairs": (
+        f"--m 22 --delta 0.1 --exact --max-enum {10**30} --trials 3 --seed 1",
+        "3,22,0.1,montecarlo,3,3,1.0,,9.332639547610414e+55,0.0,1,"
         "exact sweep infeasible; fell back to montecarlo\n",
     ),
     "mc-fullrank": (

@@ -539,7 +539,7 @@ class TestMultiplierClasses:
         _, (fullrank,), _ = ensemble._tally(orbits, ensemble._fullrank_event(field, m), 1)
         assert fullrank_census(field, m, 10**7) == Fraction(fullrank, n)
 
-    @pytest.mark.parametrize("q, m", ((3, 4), (3, 5), (3, 7), (5, 3), (7, 3)))
+    @pytest.mark.parametrize("q, m", ((3, 4), (3, 5), (3, 7), (5, 3), (7, 3), (13, 3)))
     def test_class_count_is_the_codes_up_to_multipliers(self, q, m):
         # the orbits span every code once (TestUnitOrbits); count those codes
         # up to X -> X^s by brute force
@@ -548,32 +548,26 @@ class TestMultiplierClasses:
         assert len(multiplier_classes(field, m)[2]) == multiplier_class_count(
             [code.rref for code in built], m, q)
 
-    @pytest.mark.parametrize("p", (1453, 4294967311))
-    def test_key_ranks_the_exact_least_image(self, p):
-        # p = 1 mod 3: three cosets of size 1 at m = 3, so a representative
-        # is (sum of x_C e_C, sum of y_C e_C) with (x_C, y_C) one of (0, 0),
-        # (0, 1) and (1, y). p^6 >= 2^63 from p = 1453 on, and at 4294967311
-        # each side's base-p value passes int64 too
-        field, rng = PrimeField(p), random.Random(p)
-        e = [np.array(x.coeffs, dtype=object) for x in coset_idempotents(field, 3)[1:]]
-        choices = [rng.choice([(0, 0), (0, 1), (1, rng.randrange(p))]) for _ in range(400)]
-        rows = [[sum(x * f for (x, _), f in zip(pair, e)) % p,
-                 sum(y * f for (_, y), f in zip(pair, e)) % p]
-                for pair in zip(choices[::2], choices[1::2])]
-        # each pair's image under mu_2 is a representative too
-        rows += [[np.roll(x[::-1], 1) for x in row] for row in rows[::3]]
-        c, a_prime = (np.array([row[k] for row in rows], dtype=np.int64) for k in (0, 1))
+    @pytest.mark.parametrize("block", (1, 7))
+    @pytest.mark.parametrize("q, m", ((3, 1), (3, 7), (5, 4), (7, 3)))
+    def test_stacks_do_not_depend_on_the_index_block(self, q, m, block, monkeypatch):
+        # the same classes, sizes and order whichever orbit indices are read
+        # together, and every stack but the last full
+        field = PrimeField(q)
+        expected = multiplier_classes(field, m)
+        monkeypatch.setattr(ensemble, "PRODUCT_BLOCK", block)
+        stacks = [len(sizes) for *_, sizes in _pair_source(field, m)]
+        assert set(stacks[:-1]) <= {TRIAL_BLOCK}
+        assert all(map(np.array_equal, multiplier_classes(field, m), expected))
 
-        def value(x, y, s):
-            return sum(int(v) * p ** (i * s % 3 + 3 * half)
-                       for half, z in enumerate((x, y)) for i, v in enumerate(z))
-
-        least = [min(value(x, y, s) for s in (1, 2)) for x, y in zip(c, a_prime)]
-        assert p**6 >= 2**63
-        keys = ensemble._class_keys(p, c, a_prime).tolist()
-        assert len(set(keys)) < len(keys)  # the mu_2 images share their pair's key
-        assert [sorted(set(keys)).index(k) for k in keys] == [
-            sorted(set(least)).index(v) for v in least]
+    def test_pair_limit_is_capped_at_int64(self):
+        # 3^30 pairs in 45,846,295 orbits, whose (c, a') would take 11.7 GB,
+        # stream their first stack at any limit; 3^42 > 2^63 - 1 pairs are past
+        # it, whose orbit indices need not fit in int64
+        c, a_prime, sizes = next(_pair_source(F3, 16, 10**30))
+        assert len(sizes) == TRIAL_BLOCK and sizes[0] == 1 and not (c[0].any() or a_prime[0].any())
+        with pytest.raises(EnumerationTooLarge, match=f"^{3**42} pairs exceed the limit {2**63 - 1}$"):
+            _pair_source(F3, 22, 10**30)
 
 
 class TestMcDeltaProb:

@@ -6,18 +6,19 @@ last m coordinates one step to the right. Each pair (a, a') with a in R_{2m}
 and a' in R_m spans such a code: the set of all (f*a mod X^{2m}-1,
 f*a' mod X^m-1).
 
-Construction is one scan of the span matrix (the 2m circulant rows), run over
-a whole stack of codes at once: dim is its rank, the rows it keeps are the
-generator matrix. The same scan of circ(b) gives the dimension and basis of
-any ideal <b> of R_n (ensemble.ideal_basis), at every n, and codeword_blocks
-enumerates the words of a code or an ideal from its basis. A stack's
-threshold queries are answered by one scan per RREF shape
-(lightest_word_weights, rref_lightest_weights): two information sets for
-restricted codes whose w- and v-projections have full rank, else one
-weighted-pivot scan (scan_plan). The polynomial
-description, two complementary monic divisors of X^{2m}-1 (a generator
-polynomial g and a check polynomial h with g*h = X^{2m}-1 and dim = deg h),
-is derived from (a, a') when g or h is first read.
+construct_code runs one scan of the span matrix (the 2m circulant rows): dim
+is its rank, the rows it keeps are the generator matrix. The same scan of
+circ(b) gives the dimension and basis of any ideal <b> of R_n
+(ensemble.ideal_basis), and codeword_blocks enumerates the words of a code or
+an ideal from its basis. Restricted codes (a = c || c, restricted_codes) read
+their dims off the coset projections, and their RREFs are computed only for
+the codes a threshold scan reads. A stack's threshold queries take one scan
+per RREF shape (lightest_word_weights, rref_lightest_weights): two
+information sets for restricted codes whose w- and v-projections have full
+rank, else one weighted-pivot scan (scan_plan). In (X-1)R_m a nonzero w or v
+sums to 0, so weighs 2 or more: the sum-zero bound. The monic generator and
+check polynomials g and h, g*h = X^{2m}-1 and dim = deg h, are derived from
+(a, a') when first read.
 """
 
 from __future__ import annotations
@@ -220,21 +221,28 @@ class Qc15Code:
     """An index-1½ quasi-cyclic code with its derived parameters.
 
     Immutable after construction, but for the memo `lightest`, which only
-    saves rescans; all methods are pure. A code compares and hashes by
-    identity, since different pairs can span the same code.
+    saves rescans, and rref, g and h, computed on first read; all methods are
+    pure. A code compares and hashes by identity: pairs can span one code.
     """
 
     field: PrimeField
     m: int
     dim: int
     gen_matrix: np.ndarray = dc_field(repr=False)
-    rref: np.ndarray = dc_field(repr=False)  # RREF of gen_matrix
     # (cap, lightest_word_weight(cap)) of the widest scan so far; (0, 1) holds
     # for every nonzero code
     lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False)
-    # a restricted code whose w- and v-projections both have rank dim
-    # (restricted_codes): the threshold scan may use two information sets
+    # a restricted code whose w- and v-projections have rank dim: two information sets
     full_projections: bool = dc_field(default=False, repr=False)
+    # a restricted code with c and a' in (X-1)R_m: nonzero w and v weigh >= 2
+    sum_zero: bool = dc_field(default=False, repr=False)
+
+    @cached_property
+    def rref(self) -> np.ndarray:
+        """The RREF of gen_matrix: a row scan on first read, unless a stack's scan filled it in."""
+        (rref,) = leading_independent_rows(self.gen_matrix[None], self.field.p)[1]
+        rref.setflags(write=False)
+        return rref
 
     @cached_property
     def a(self) -> RingElement:
@@ -360,18 +368,19 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
 
     One scan of the span matrix (leading_independent_rows, a stack of one)
     keeps each row that increases the rank: dim is the number kept, the
-    generator matrix is those rows and the RREF is kept for the threshold
-    scan. As a module the code is GF(p)[X]/(h), so no nonzero polynomial of
+    generator matrix is those rows and the scan's RREF is kept as the code's
+    rref. As a module the code is GF(p)[X]/(h), so no nonzero polynomial of
     degree < dim annihilates (a, a'): the kept rows are rows 0..dim-1, the
     encodings of X^0..X^{dim-1}. g and h are derived when first read.
     """
     full = span_matrix(a, a_prime)  # checks the rings
     check_coprime(a_prime.n, a.field.p)
     (dim,), (rref,) = leading_independent_rows(full[None], a.field.p)
-    gen, rref = full[:dim], rref[:dim]
-    gen.setflags(write=False)
-    rref.setflags(write=False)
-    return Qc15Code(a.field, a_prime.n, int(dim), gen, rref)
+    for x in (full, rref):
+        x.setflags(write=False)
+    code = Qc15Code(a.field, a_prime.n, int(dim), full[:dim])
+    vars(code)["rref"] = rref[:dim]  # the rref property's value
+    return code
 
 
 @lru_cache(maxsize=None)
@@ -385,47 +394,49 @@ def coset_projection(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]
     return blocks, sizes
 
 
-def coset_support(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """The (2, B, cosets) stack of whether c[k] e_C and a'[k] e_C are nonzero,
-    from one product for the (B, m) stacks c and a'."""
-    blocks, _ = coset_projection(field, c.shape[1])
+def coset_support(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> tuple:
+    """The (2, B, cosets) stack of whether c[k] e_C and a'[k] e_C are nonzero
+    (coset {0} first) and the dim of each code (c[k] || c[k], a'[k]), the sum
+    of |C| over the cosets C where either is, from one product."""
+    blocks, sizes = coset_projection(field, c.shape[1])
     projected = gf_matmul(np.vstack([c, a_prime]), blocks, field.p)
-    return projected.reshape(2, len(c), -1, c.shape[1]).any(axis=3)
+    support = projected.reshape(2, len(c), -1, c.shape[1]).any(axis=3)
+    return support, support.any(axis=0) @ sizes
 
 
 def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list[Qc15Code]:
     """construct_code(c[k] || c[k], a'[k]) for each row k of the (B, m) stacks
-    c and a', from one leading_independent_rows call.
+    c and a', from one coset_support product and no row scan.
 
-    For a = c || c, rows i and i + m of the span matrix are equal, and so are
-    columns j and j + m for j < m. So the scan runs over the (B, m, 2m) stack
-    [circ(c) | circ(a')] and copies the c block into gen_matrix and rref. The
-    code is {(w, w, v) : (w, v) in R_m (c, a')}, so its w-projection <c> has
-    rank dim when c e_C != 0 on every coset C where (c, a') e_C != 0, and
-    likewise <a'>: full_projections when the two supports are equal.
+    The code is {(w, w, v) : (w, v) in R_m (c, a')}: dim from coset_support,
+    gen_matrix the first dim rows of [circ(c) | circ(c) | circ(a')], a basis
+    (construct_code), and rref unread until a scan needs it. <c> has rank dim
+    when c e_C != 0 on every coset C where (c, a') e_C != 0, and likewise
+    <a'>: full_projections when the two supports are equal. Coset {0} tells
+    whether c and a' lie in (X-1)R_m: sum_zero.
     """
-    m, j = c.shape[1], np.arange(c.shape[1])
-    blocks = np.concatenate([circulant_matrix(c), circulant_matrix(a_prime)], axis=2)
-    dims, rrefs = leading_independent_rows(blocks, field.p)
-    on_c, on_a_prime = coset_support(field, c, a_prime)
+    (on_c, on_a_prime), dims = coset_support(field, c, a_prime)
     full = (on_c == on_a_prime).all(axis=1).tolist()
-    cols = np.concatenate([j, j, m + j])
-    gens, rrefs = blocks[:, :, cols], rrefs[:, :, cols]
-    for stack in (gens, rrefs):
-        stack.setflags(write=False)
-    return [Qc15Code(field, m, int(d), gen[:d], rref[:d], full_projections=f)
-            for d, gen, rref, f in zip(dims, gens, rrefs, full)]
+    sum_zero = (~(on_c[:, 0] | on_a_prime[:, 0])).tolist()
+    gens = np.concatenate([circulant_matrix(c)] * 2 + [circulant_matrix(a_prime)], axis=2)
+    gens.setflags(write=False)
+    return [Qc15Code(field, c.shape[1], d, gen[:d], full_projections=f, sum_zero=z)
+            for d, gen, f, z in zip(dims.tolist(), gens, full, sum_zero)]
 
 
-def scan_plan(p: int, dim: int, full: bool, cap: int) -> tuple[int, int]:
+def scan_plan(p: int, dim: int, full: bool, sum_zero: bool, cap: int) -> tuple[int, int]:
     """(a, b): the threshold scan tries messages of plain weight <= a in the
-    RREF and, for b >= 1, those of plain weight <= b in the v-systematic
-    form. Two information sets need full projections: then the (a, b) with
-    2a + b >= cap - 2 and the fewest candidates, the smaller b on a tie (b = 0
-    builds no v-form). Otherwise (cap, -1): the weighted scan alone."""
+    RREF and, for b >= 1, those of plain weight <= b in the v-systematic form.
+    A nonzero w or v weighs lo = 2 or more in (X-1)R_m (sum_zero), else 1. With
+    full projections a word both miss weighs >= max(2a + 2, 2 lo) + max(b + 1,
+    lo): the (a, b) where that exceeds cap with the fewest candidates, the
+    smaller b on a tie (b = 0 builds no v-form). Else (cap, -1), the weighted
+    scan, or (0, 0), which tries no message, where lo > cap."""
+    lo = 2 if sum_zero else 1
     if not full:
-        return cap, -1
-    plans = [((cap - 1 - b) // 2, b) for b in range(max(cap - 1, 1))]
+        return (0, 0) if cap < lo else (cap, -1)
+    needs = ((cap + 1 - max(b + 1, lo), b) for b in range(max(cap - 1, 1)))  # on w and its copy
+    plans = [((need - 1) // 2 if need > 2 * lo else 0, b) for need, b in needs]
     return min(plans, key=lambda plan: (plan_candidates(p, dim, plan), plan[1]))
 
 
@@ -477,22 +488,21 @@ def _weighted_scan(
     return best
 
 
-def rref_lightest_weights(rref: np.ndarray, p: int, cap: int, b: np.ndarray) -> np.ndarray:
+def rref_lightest_weights(rref: np.ndarray, p: int, cap: int, plans: np.ndarray) -> np.ndarray:
     """min(d_min, cap + 1) of each nonzero code of a (B, dim, 3m) stack of
-    RREFs, b[i] the second bound of code i's scan_plan, with no limit check.
+    RREFs, plans[i] = (a, b) code i's scan_plan, with no limit check.
 
-    b = -1: one weighted scan over every single column, to budget cap. b >= 0
-    (full projections, so every pivot lies in w): the scan counts only w and
-    its copy, to budget cap - b - 1, so it tries every y of plain weight <= a
-    and a word missed weighs at least 2(a + 1) there; for b >= 1 the pivots
-    of the v-systematic form (one leading_independent_rows call, v columns
-    first) are scanned to budget b on v. A word both miss weighs at least
-    2(a + 1) + (b + 1) > cap: with b = 0 no v-form is needed, as v is an
-    information set and every nonzero word is nonzero there.
+    b = -1: one weighted scan over every single column, to budget a = cap.
+    b >= 0 (full projections, so every pivot lies in w): the scan counts only w
+    and its copy, to budget 2a + 1, so it tries every y of plain weight <= a and
+    a word missed weighs at least 2(a + 1) there; for b >= 1 the pivots of the
+    v-systematic form (one leading_independent_rows call, v columns first) are
+    scanned to budget b on v. A word both miss weighs more than cap
+    (scan_plan): with b = 0 no v-form is needed, as v is an information set.
     """
-    length = rref.shape[2]
+    (a, b), length = plans.T, rref.shape[2]
     w_side = np.arange(length) < 2 * length // 3
-    best = _weighted_scan(rref, p, cap - b - 1, cap, w_side | (b < 0)[:, None])
+    best = _weighted_scan(rref, p, np.where(b < 0, a, 2 * a + 1), cap, w_side | (b < 0)[:, None])
     two = b >= 1
     if two.any():
         v_first = np.roll(np.arange(length), length // 3)
@@ -506,28 +516,38 @@ def lightest_word_weights(
 ) -> list[int]:
     """lightest_word_weight(cap, limit) of each code of a stack over one field;
     the codes whose memo is narrower than cap are scanned, one
-    rref_lightest_weights call per RREF shape, and keep the result. Each dim
-    and projection flag gets one scan_plan, whose candidates the limit bounds
+    rref_lightest_weights call per RREF shape, and keep the result. Each dim and
+    pair of flags gets one scan_plan, whose candidates the limit bounds
     (plan_candidates); every plan is checked before any scan, and a stack of
-    memo hits checks nothing. A plan (0, 0) tries no message, so its codes
-    keep cap + 1 without a scan."""
+    memo hits checks nothing. A plan (0, 0) keeps cap + 1 with no scan. Unread
+    RREFs (restricted_codes') come from one row scan per m of the w and v
+    columns (the copy of w is equal), padded to the widest dim."""
     todo = [code for code in codes if code.dim and cap > code.lightest[0]]
     p = todo[0].field.p if todo else 0
-    plans = {key: scan_plan(p, *key, cap) for key in
-             dict.fromkeys((code.dim, code.full_projections) for code in todo)}
-    for (dim, _), plan in plans.items():
+    keys = [(code.dim, code.full_projections, code.sum_zero) for code in todo]
+    plans = {key: scan_plan(p, *key, cap) for key in dict.fromkeys(keys)}
+    for (dim, *_), plan in plans.items():
         n_cand = plan_candidates(p, dim, plan)
         if n_cand > limit:
             raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
-    for code in todo:  # plan (0, 0): every nonzero word weighs >= 2 + 1 > cap
-        if plans[code.dim, code.full_projections] == (0, 0):
+    for code, key in zip(todo, keys):  # plan (0, 0): every nonzero word is heavier than cap
+        if plans[key] == (0, 0):
             object.__setattr__(code, "lightest", (cap, cap + 1))
-    todo = [code for code in todo if cap > code.lightest[0]]
-    for shape in dict.fromkeys(code.rref.shape for code in todo):
-        same = [code for code in todo if code.rref.shape == shape]
-        b = np.array([plans[code.dim, code.full_projections][1] for code in same])
-        best = rref_lightest_weights(np.stack([code.rref for code in same]), p, cap, b)
-        for code, lightest in zip(same, best.tolist()):
+    todo = [(code, plans[key]) for code, key in zip(todo, keys) if plans[key] != (0, 0)]
+    unread = [code for code, _ in todo if "rref" not in vars(code)]
+    for m in dict.fromkeys(code.m for code in unread):
+        same = [code for code in unread if code.m == m]
+        stack = np.zeros((len(same), max(code.dim for code in same), 2 * m), dtype=np.int64)
+        for rows, code in zip(stack, same):
+            rows[: code.dim] = code.gen_matrix[:, m:]  # the copy of w, then v
+        rrefs = leading_independent_rows(stack, p)[1][:, :, np.r_[:m, :2 * m]]
+        rrefs.setflags(write=False)
+        for code, rref in zip(same, rrefs):
+            vars(code)["rref"] = rref[: code.dim]
+    for shape in dict.fromkeys((code.dim, code.m) for code, _ in todo):
+        same = [(code, plan) for code, plan in todo if (code.dim, code.m) == shape]
+        rrefs, chosen = np.stack([code.rref for code, _ in same]), np.array([x for _, x in same])
+        for (code, _), lightest in zip(same, rref_lightest_weights(rrefs, p, cap, chosen).tolist()):
             object.__setattr__(code, "lightest", (cap, lightest))
     return [min(code.lightest[1], cap + 1) if code.dim else cap + 1 for code in codes]
 

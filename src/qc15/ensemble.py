@@ -83,7 +83,6 @@ from .codes import (
     PRODUCT_BLOCK,
     circulant_matrix,
     codeword_blocks,
-    coset_projection,
     coset_support,
     leading_independent_rows,
     lightest_word_weights,
@@ -415,21 +414,25 @@ def _coset_choices(field: PrimeField, m: int) -> tuple[tuple, ...]:
     i // place % len(rows) on C. mu_s, s the u-th unit mod m, maps choice j to
     a choice k on the coset C' with e_C' = mu_s(e_C): moved[u, j] is k times
     the place of C', so the index of an orbit's image sums its choices' moved."""
-    rows, sizes = [], []
+    rows, sizes, key = [], [], np.dtype((np.void, 16 * m))  # a row's 2m int64 as one key
     for coset, e in zip(cyclotomic_cosets(m, field.p).cosets[1:], coset_idempotents(field, m)[1:]):
         ys = ideal_elements(e)  # e R_m, the q^d elements y of the lines (e, y)
-        zero, e_row = np.zeros((1, m), dtype=np.int64), np.array([e.coeffs])
-        on_c = np.vstack([zero, zero, np.repeat(e_row, len(ys), axis=0)])
-        on_a_prime = np.vstack([zero, e_row, ys])
-        rows.append(np.hstack([on_c, on_a_prime]))
-        sizes.append(np.array([1] + [field.p ** len(coset) - 1] * (len(ys) + 1)))
+        x = np.zeros((len(ys) + 2, 2 * m), dtype=np.int64)
+        x[2:, :m], x[1, m:], x[2:, m:] = e.coeffs, e.coeffs, ys
+        rows.append(x)
+        sizes.append(np.repeat([1, field.p ** len(coset) - 1], [1, len(ys) + 1]))
+    if not rows:  # m = 1
+        return ()
     places = [math.prod(map(len, rows[k + 1:])) for k in range(len(rows))]
-    value = {row.tobytes(): place * j for place, x in zip(places, rows) for j, row in enumerate(x)}
+    keys = np.concatenate([x.view(key).ravel() for x in rows])
+    order = np.argsort(keys)
+    keys = keys[order]  # sorted choice rows, looked up by their bytes, and their values
+    value = np.concatenate([place * np.arange(len(x)) for place, x in zip(places, rows)])[order]
     to = [np.arange(m) * s % m for s in range(m) if math.gcd(s, m) == 1]  # mu_s: k to s k
     moved = []
-    for x in rows:
-        images = (x[:, np.argsort(np.r_[k, k + m])] for k in to)  # row j: mu_s(choice j)
-        moved.append(np.array([[value[row.tobytes()] for row in image] for image in images]))
+    for x in rows:  # image j of unit u: mu_s(choice j), found by its key
+        images = (x.take(np.argsort(np.r_[k, k + m]), axis=1) for k in to)
+        moved.append(np.array([value[np.searchsorted(keys, y.view(key).ravel())] for y in images]))
     for array in (*rows, *sizes, *moved):
         array.setflags(write=False)
     return tuple(zip(places, rows, sizes, moved))
@@ -506,11 +509,8 @@ def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
 
 
 def restricted_dims(field: PrimeField, m: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """The code dimension of each restricted pair (c[k] || c[k], a'[k]), from
-    one product for the whole stack and no row scan: the code is
-    {(w, w, v) : (w, v) in R_m (c, a')}, so its dimension is the sum of |C|
-    over the cosets C where (c, a') e_C != 0 (coset_support)."""
-    return coset_support(field, c, a_prime).any(axis=0) @ coset_projection(field, m)[1]
+    """The code dimension of each restricted pair (c[k] || c[k], a'[k]) (coset_support)."""
+    return coset_support(field, c, a_prime)[1]
 
 
 def _fullrank_event(field: PrimeField, m: int) -> Event:

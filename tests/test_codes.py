@@ -528,6 +528,29 @@ class TestStackedScan:
         self.assert_scan_matches_gauss_jordan(span_stack(F3, c, a_prime), 3)
         self.assert_codes_match(F3, c, a_prime)
 
+    @pytest.mark.parametrize("q, m", [(3, m) for m in (1, 2, 4, 5, 7, 8)]
+                             + [(5, m) for m in range(1, 5)] + [(7, m) for m in range(1, 4)])
+    def test_dims_and_lazy_rrefs_on_every_unit_orbit(self, q, m):
+        # dims from the coset support, and RREFs filled in by the threshold
+        # scan: at cap 6 it scans every nonzero code, with one row scan of
+        # their w and v columns padded to the widest dim (the RREFs read one
+        # code at a time are checked by assert_codes_match)
+        field, shapes = PrimeField(q), []
+        c, a_prime = orbit_pairs(field, m)
+        expected = [gauss_jordan(span, q) for span in span_stack(field, c, a_prime)]
+        real = codes.leading_independent_rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes, "leading_independent_rows",
+                          lambda mat, p: shapes.append(mat.shape) or real(mat, p))
+            built = restricted_codes(field, c, a_prime)
+            assert shapes == []
+            lightest_word_weights(built, 6)
+        assert [code.dim for code in built] == list(map(len, expected))
+        nonzero = [code.dim for code in built if code.dim]
+        assert shapes == ([(len(nonzero), max(nonzero), 2 * m)] if nonzero else [])
+        assert [("rref" in vars(code)) for code in built] == [bool(code.dim) for code in built]
+        assert [code.rref.tolist() for code in built] == expected
+
     def test_every_restricted_pair_q3_m4_as_one_stack(self):
         left, right = restricted_elements(F3, 4)
         stack = np.stack([span_matrix(a, ap) for a in left for ap in right])
@@ -565,12 +588,14 @@ class TestStackedScan:
             stacks.append(len(mat))
             return real(mat, p)
 
-        # one code per unit orbit's code up to the multipliers X -> X^s
+        # one code per unit orbit's code up to the multipliers X -> X^s; the
+        # codes are built with no row scan, and at t = 6 every class but the
+        # zero code's is scanned, so its RREF is filled in once
         classes = multiplier_class_count(
             [code.rref for code in restricted_codes(F3, *orbit_pairs(F3, 7))], 7, 3)
         monkeypatch.setattr(codes, "leading_independent_rows", record)
         exact_delta_leq_probs(F3, 7, ["0.106", "0.3"])
-        assert sum(stacks) == classes == 132
+        assert sum(stacks) == classes - 1 == 131
         assert max(stacks) <= TRIAL_BLOCK
 
 
@@ -842,7 +867,10 @@ class TestStackedThresholdScan:
         ranks = projection_ranks(field, c, a_prime)
         assert [code.full_projections for code in built] == [
             w == v == code.dim for code, (w, v) in zip(built, ranks)]
-        bs = {scan_plan(field.p, code.dim, code.full_projections, cap)[1]
+        assert [code.sum_zero for code in built] == [
+            not (sum(x) % field.p or sum(y) % field.p)
+            for x, y in zip(c.tolist(), a_prime.tolist())]
+        bs = {scan_plan(field.p, code.dim, code.full_projections, code.sum_zero, cap)[1]
               for code in built if code.dim for cap in caps if cap}
         return built, bs
 
@@ -850,7 +878,8 @@ class TestStackedThresholdScan:
         c, a_prime = all_restricted_pairs(4)
         built, bs = self.assert_matches_oracle(F3, c, a_prime, range(13))
         assert len(built) == 729 and {code.dim for code in built} == {0, 1, 2, 3}
-        assert bs == {-1, 0, 1}
+        # in (X-1)R_m b = 0 bounds v as b = 1 does, and no b >= 2 pays at dims <= 3
+        assert bs == {-1, 0}
         assert short_sides(F3, c, a_prime, built) == {"w", "v"}
 
     @pytest.mark.parametrize(
@@ -868,25 +897,50 @@ class TestStackedThresholdScan:
         dims = {code.dim for code in built}
         assert 0 in dims and len(dims) >= (2 if m == 2 else 3)
         assert short_sides(field, c, a_prime, built) == {"w", "v"}
-        assert bs == {-1, 0} if m == 2 else {-1, 0, 1} <= bs
+        assert 1 not in bs and {-1, 0} <= bs and (2 in bs) == (m > 3)
 
     @pytest.mark.parametrize("q", (5, 7))
     def test_every_unit_orbit_at_m_4(self, q):
-        # dim-2 codes of weight 6 with plan (1, 1) at caps 6 and 7: a word
-        # weighing 4 on w and 2 on v, which a v bound of 2(b + 1) would miss
+        # dim-3 codes with full projections take plan (2, 2) at cap 8, and
+        # dim-2 codes of weight 6 hold a word weighing 4 on w and 2 on v,
+        # which plan (0, 1) would miss at caps 6 and 7 under a v bound of
+        # 2(b + 1)
         field = PrimeField(q)
         c, a_prime = orbit_pairs(field, 4)
         _, bs = self.assert_matches_oracle(field, c, a_prime, range(13))
+        assert bs == {-1, 0, 2}
+
+    def test_stack_outside_x_minus_1_at_every_cap(self):
+        # c = a' = 1 spans {(f, f, f)}: full projections and a word of weight
+        # 3, which the sum-zero bound (every nonzero word weighs >= 6) would
+        # miss. The rest add the all-ones word (coset {0}) to c, a' or both
+        # of sampled pairs in (X-1)R_m, and keep some pairs there, some with c = 0
+        c, a_prime = sampled_pairs(F3, 5, seed=11)
+        c[1::2], a_prime[::3] = (c[1::2] + 1) % 3, (a_prime[::3] + 1) % 3
+        c[4::9] = 0
+        one = np.eye(1, 5, dtype=np.int64)
+        c, a_prime = np.vstack([one, c]), np.vstack([one, a_prime])
+        built, bs = self.assert_matches_oracle(F3, c, a_prime, range(16))
+        assert (built[0].dim, built[0].full_projections, built[0].sum_zero) == (5, True, False)
+        assert distance_oracle(built[0]) == 3
+        assert {(code.full_projections, code.sum_zero) for code in built if code.dim} == {
+            (f, z) for f in (True, False) for z in (True, False)}
         assert {-1, 0, 1} <= bs
 
     @pytest.mark.parametrize("p", (P_31, P_LARGE))
     def test_v_form_above_2_31(self, monkeypatch, p):
-        # m = 3, dims up to 2 (p = 1 mod 3: three cosets of size 1); at cap 5
-        # a dim-2 code with full projections takes plan (1, 1), 2 + 2
-        # candidates where plain weight 2 alone needs p + 1. Codes of dim 2
-        # with a short projection would need p + 1 past cap 1: left out
+        # m = 3 (p = 1 mod 3: three cosets of size 1): one nonzero coset of
+        # a sampled pair, every other pair moved out of (X-1)R_m by the
+        # all-ones word on coset {0}, so dims up to 2. At cap 5 a dim-2 code
+        # with full projections takes plan (1, 1), 2 + 2 candidates where
+        # plain weight 2 alone needs p + 1 (in (X-1)R_m plan (0, 0) answers
+        # cap 5 and no v-form pays at dim 2). Codes of dim 2 with a short
+        # projection would need p + 1 past cap 1: left out
         field = PrimeField(p)
         c, a_prime = sampled_pairs(field, 3, seed=6)
+        e = circulant_matrix(coset_idempotents(field, 3)[-1])
+        c, a_prime = gf_matmul(c, e, p), gf_matmul(a_prime, e, p)
+        c[::2], a_prime[::2] = (c[::2] + 1) % p, (a_prime[::2] + 1) % p
         c[::7], a_prime[3::7] = 0, 0
         keep = [code.full_projections or code.dim < 2
                 for code in restricted_codes(field, c, a_prime)]
@@ -941,13 +995,14 @@ class TestStackedThresholdScan:
         rrefs = np.stack([code.rref for code in stack])
         for cap in range(1, 8):
             widths.clear()
-            best = rref_lightest_weights(rrefs, 3, cap, np.full(3, -1))
+            best = rref_lightest_weights(rrefs, 3, cap, np.tile((cap, -1), (3, 1)))
             assert best.tolist() == [min(d, cap + 1) for d in distances]
             # a code's block holds its one row once cap reaches that row's weight
             assert sorted(widths) == sorted(w for w, d in zip((0, 4, 2), distances) if d <= cap)
 
-    def test_full_projections_below_cap_3_scan_nothing(self, monkeypatch):
-        # plan (0, 0): every nonzero word weighs 2 on w and its copy and 1 on v
+    def test_full_projections_below_cap_6_scan_nothing(self, monkeypatch):
+        # plan (0, 0): in (X-1)R_m every nonzero word weighs at least 4 on w
+        # and its copy and 2 on v; at cap 6 the codes of weight 6 are scanned
         c, a_prime = orbit_pairs(F3, 5)
         keep = [code.full_projections and code.dim > 0 for code in restricted_codes(F3, c, a_prime)]
         c, a_prime = c[keep], a_prime[keep]
@@ -957,12 +1012,13 @@ class TestStackedThresholdScan:
         real = codes._weighted_scan
         monkeypatch.setattr(codes, "_weighted_scan",
                             lambda rref, *args: scans.append(len(rref)) or real(rref, *args))
-        for cap in (1, 2, 3):
+        assert min(distances) == 6
+        for cap in range(1, 7):
             stack = restricted_codes(F3, c, a_prime)
             assert lightest_word_weights(stack, cap) == [min(d, cap + 1) for d in distances]
             assert all(code.lightest == (cap, min(d, cap + 1))
                        for code, d in zip(stack, distances))
-            assert (sum(scans) > 0) == (cap == 3)
+            assert (sum(scans) > 0) == (cap == 6)
 
     def test_blocks_of_one_entry(self, monkeypatch):
         c, a_prime = (x[::4] for x in orbit_pairs(F3, 7))
@@ -987,9 +1043,9 @@ class TestStackedThresholdScan:
 
     def test_limit_is_checked_once_per_dim_for_the_first_code_over_it(self, monkeypatch):
         # at cap 2 a code with full projections needs no candidate (plan
-        # (0, 0): every nonzero word weighs 2 on w and 1 on v); the others
-        # count the messages of plain weight <= 2 over GF(3): 1, 4 and 9 at
-        # dims 1, 2 and 3
+        # (0, 0): every nonzero word weighs 4 on w and its copy and 2 on v);
+        # the others count the messages of plain weight <= 2 over GF(3): 1, 4
+        # and 9 at dims 1, 2 and 3
         c, a_prime = orbit_pairs(F3, 4)
         stack = restricted_codes(F3, c, a_prime)
         kinds = [(code.dim, code.full_projections) for code in stack if code.dim]
@@ -997,8 +1053,8 @@ class TestStackedThresholdScan:
         planned = []
         real = codes.scan_plan
         monkeypatch.setattr(codes, "scan_plan",
-                            lambda p, dim, full, cap: planned.append((dim, full))
-                            or real(p, dim, full, cap))
+                            lambda p, dim, full, sum_zero, cap: planned.append((dim, full))
+                            or real(p, dim, full, sum_zero, cap))
         low = [code for code in stack if code.dim < 3]
         assert lightest_word_weights(low, 2, limit=4) == [
             min(distance_oracle(code), 3) for code in low]

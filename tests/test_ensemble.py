@@ -366,16 +366,18 @@ class TestDistanceEvent:
         scans = []
         real = codes.rref_lightest_weights
         monkeypatch.setattr(codes, "rref_lightest_weights",
-                            lambda stack, p, cap, b: scans.append((len(stack), stack.shape[1], cap))
-                            or real(stack, p, cap, b))
+                            lambda stack, p, cap, plans: scans.append(
+                                (len(stack), stack.shape[1], cap)) or real(stack, p, cap, plans))
         # at m = 4 the thresholds are t = 1, 3 and 12 = 3m, which needs no scan,
         # and the codes have dims 1, 2 and 3; the trials, then the attached
-        # exact row's unit orbits
+        # exact row's unit orbits. At t = 3 only the codes with a short
+        # projection are scanned: in (X-1)R_m the others weigh at least 6
         mc_delta_probs(F3, 4, ["0.106", "0.3", "1"], TRIAL_BLOCK + 1, seed=3)
         expected = []
         for c, a_prime, _ in chain(_pair_source(F3, 4, trials=TRIAL_BLOCK + 1, seed=3),
                                    _pair_source(F3, 4)):
-            dims = restricted_dims(F3, 4, c, a_prime).tolist()
+            dims = [code.dim for code in codes.restricted_codes(F3, c, a_prime)
+                    if not code.full_projections]
             # one scan per stack and nonzero dim, in order of first appearance
             expected += [(dims.count(d), d, 3) for d in dict.fromkeys(dims) if d]
         assert scans == expected
@@ -403,8 +405,8 @@ class TestDistanceEvent:
         planned, scans = [], []
         plan, scan = codes.scan_plan, codes.rref_lightest_weights
         monkeypatch.setattr(codes, "scan_plan",
-                            lambda p, dim, full, cap: planned.append((dim, full))
-                            or plan(p, dim, full, cap))
+                            lambda p, dim, full, sum_zero, cap: planned.append((dim, full))
+                            or plan(p, dim, full, sum_zero, cap))
         monkeypatch.setattr(codes, "rref_lightest_weights",
                             lambda *args: scans.append(args[0].shape[1]) or scan(*args))
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
@@ -425,12 +427,16 @@ class TestDistanceEvent:
 
     def test_a_broken_scan_changes_the_sweeps(self, monkeypatch):
         # a scan that finds no light word makes every trial at t < 3m a hit and
-        # empties the exact row at t = 3 < 3m; t = 12 = 3m is answered without it
+        # empties the exact row at t = 3 < 3m; t = 12 = 3m is answered without
+        # it. At m = 5 and t = 4 only codes with a short projection are
+        # scanned, at t = 7 those with full projections too
+        deltas = ["0.106", "0.3", "0.5"]
         leq = [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])]
+        hits = [rep.hits for rep in mc_delta_probs(F3, 5, deltas, 100, seed=42)]
         monkeypatch.setattr(codes, "rref_lightest_weights",
-                            lambda rref, p, cap, b: np.full(len(rref), cap + 1))
-        for rep in mc_delta_probs(F3, 5, ["0.106", "0.3"], 100, seed=42):
-            assert rep.hits == rep.trials
+                            lambda rref, p, cap, plans: np.full(len(rref), cap + 1))
+        assert hits[0] == 100 and max(hits[1:]) < 100
+        assert [rep.hits for rep in mc_delta_probs(F3, 5, deltas, 100, seed=42)] == [100] * 3
         assert leq[0] and [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])] == [
             0, leq[1]]
 

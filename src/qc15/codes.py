@@ -10,15 +10,15 @@ construct_code runs one scan of the span matrix (the 2m circulant rows): dim
 is its rank, the rows it keeps are the generator matrix. The same scan of
 circ(b) gives the dimension and basis of any ideal <b> of R_n
 (ensemble.ideal_basis), and codeword_blocks enumerates the words of a code or
-an ideal from its basis. Restricted codes (a = c || c, restricted_codes) read
-their dims off the coset projections, and their RREFs are computed only for
-the codes a threshold scan reads. A stack's threshold queries take one scan
-per RREF shape (lightest_word_weights, rref_lightest_weights): two
+an ideal from its basis. Restricted codes (a = c || c, restricted_codes)
+read their dims off the coset projections, and their RREFs are computed only
+for the codes a threshold scan reads. A stack's threshold queries take one
+scan per RREF shape (lightest_word_weights, rref_lightest_weights): two
 information sets for restricted codes whose w- and v-projections have full
 rank, else one weighted-pivot scan (scan_plan). In (X-1)R_m a nonzero w or v
-sums to 0, so weighs 2 or more: the sum-zero bound. The monic generator and
-check polynomials g and h, g*h = X^{2m}-1 and dim = deg h, are derived from
-(a, a') when first read.
+sums to 0, so weighs 2 or more: the sum-zero bound. min_distance raises the
+scan's cap until it answers. The monic generator and check polynomials g and
+h, g*h = X^{2m}-1 and dim = deg h, are derived from (a, a') when first read.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ def gf_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     dropped: the row scan of a stack of one, whose kept rows lead at their pivots."""
     (dim,), (rref,) = leading_independent_rows(np.asarray(mat)[None], p)
     return rref[:dim], [int(np.flatnonzero(row)[0]) for row in rref[:dim]]
-
-
-def gf_rank(mat: np.ndarray, p: int) -> int:
-    return len(gf_rref(mat, p)[1])
 
 
 def leading_independent_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,16 +311,19 @@ class Qc15Code:
                 for row in block}
 
     def min_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> DistanceResult:
-        """Exact minimum Hamming weight by exhausting all p^dim codewords."""
+        """Exact minimum Hamming weight d: the first cap = 1, 2, ... with
+        lightest_word_weight(cap) <= cap (Brouwer-Zimmermann), else U, the
+        least weight of a row of rref. The plan of cap U - 1, the widest run
+        (plans grow with cap), is checked against the limit once, before any scan."""
         if self.dim == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
-        best = self.length + 1
-        for block in codeword_blocks(self.gen_matrix, self.field.p, limit):
-            weights = np.count_nonzero(block, axis=1)
-            best = int(weights[weights > 0].min(initial=best))  # rows independent: y = 0 alone
-            if best == 1:
-                break
-        return DistanceResult(best, Fraction(best, self.length))
+        p, upper = self.field.p, int(np.count_nonzero(self.rref, axis=1).min())
+        widest = scan_plan(p, self.dim, self.full_projections, self.sum_zero, upper - 1)
+        check_limit(p, self.dim, widest, limit)
+        d = 1
+        while d < upper and self.lightest_word_weight(d, limit) > d:
+            d += 1
+        return DistanceResult(d, Fraction(d, self.length))
 
     def has_word_of_weight_at_most(
         self, max_weight: int, limit: int = DEFAULT_ENUM_LIMIT
@@ -366,19 +365,23 @@ class Qc15Code:
 def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     """Build the code spanned by (a, a') with its dim and generator matrix.
 
-    One scan of the span matrix (leading_independent_rows, a stack of one)
-    keeps each row that increases the rank: dim is the number kept, the
-    generator matrix is those rows and the scan's RREF is kept as the code's
-    rref. As a module the code is GF(p)[X]/(h), so no nonzero polynomial of
-    degree < dim annihilates (a, a'): the kept rows are rows 0..dim-1, the
-    encodings of X^0..X^{dim-1}. g and h are derived when first read.
+    A pair a = c || c gets restricted_codes' code for (c, a'), flags and all.
+    Else one scan of the span matrix (leading_independent_rows, a stack of
+    one) keeps each row that increases the rank: dim is the number kept, the
+    generator matrix is those rows and their RREF is the code's rref. As a
+    module the code is GF(p)[X]/(h), so no nonzero polynomial of degree < dim
+    annihilates (a, a'): the kept rows are rows 0..dim-1, the encodings of
+    X^0..X^{dim-1}. g and h are derived when first read.
     """
     full = span_matrix(a, a_prime)  # checks the rings
     check_coprime(a_prime.n, a.field.p)
+    m = a_prime.n
+    if a.coeffs[:m] == a.coeffs[m:]:
+        return restricted_codes(a.field, full[:1, :m], full[:1, 2 * m :])[0]
     (dim,), (rref,) = leading_independent_rows(full[None], a.field.p)
     for x in (full, rref):
         x.setflags(write=False)
-    code = Qc15Code(a.field, a_prime.n, int(dim), full[:dim])
+    code = Qc15Code(a.field, m, int(dim), full[:dim])
     vars(code)["rref"] = rref[:dim]  # the rref property's value
     return code
 
@@ -443,6 +446,13 @@ def scan_plan(p: int, dim: int, full: bool, sum_zero: bool, cap: int) -> tuple[i
 def plan_candidates(p: int, dim: int, plan: tuple[int, int]) -> int:
     """The candidate messages a plan (a, b) counts against the limit."""
     return sum(low_weight_message_count(p, dim, w) for w in plan)
+
+
+def check_limit(p: int, dim: int, plan: tuple[int, int], limit: int) -> None:
+    """Raise EnumerationTooLarge when the plan's candidates exceed the limit."""
+    n_cand = plan_candidates(p, dim, plan)
+    if n_cand > limit:
+        raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
 
 
 def _weighted_scan(
@@ -527,9 +537,7 @@ def lightest_word_weights(
     keys = [(code.dim, code.full_projections, code.sum_zero) for code in todo]
     plans = {key: scan_plan(p, *key, cap) for key in dict.fromkeys(keys)}
     for (dim, *_), plan in plans.items():
-        n_cand = plan_candidates(p, dim, plan)
-        if n_cand > limit:
-            raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
+        check_limit(p, dim, plan, limit)
     for code, key in zip(todo, keys):  # plan (0, 0): every nonzero word is heavier than cap
         if plans[key] == (0, 0):
             object.__setattr__(code, "lightest", (cap, cap + 1))

@@ -8,7 +8,7 @@ each), p^{2(m-1)} equally likely pairs; the experiments carry it as (c, a').
 
 The dimension and basis of an ideal <b> of R_n, at any n, are those of the
 row scan of circ(b) (ideal_basis); a stack of restricted pairs' code
-dimensions is read off the coset projections instead (restricted_dims).
+dimensions is read off the coset projections instead (codes.coset_support).
 
 Event conventions
 -----------------
@@ -25,7 +25,7 @@ TRIAL_BLOCK rows of c and of a', each standing for its orbit class or, as a
 seeded sample, for itself. An event answers a stack with one bool column per
 report row: the distance event at each threshold, which builds a stack's
 codes at once and scans them together once for all thresholds, or dim = m - 1
-(restricted_dims, no code). One tally weights the answers by the sizes and
+(coset_support, no code). One tally weights the answers by the sizes and
 counts zero codes; one builder makes an EnsembleReport of each row's counts.
 
 The orbits: (c, a') and (u c, u a') span the same code for every unit u of
@@ -438,15 +438,11 @@ def _coset_choices(field: PrimeField, m: int) -> tuple[tuple, ...]:
     return tuple(zip(places, rows, sizes, moved))
 
 
-def _unit_orbits(
-    field: PrimeField, m: int, index: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, a', sizes): the pair of each unit orbit in index (every orbit by
-    default, (0, 0) first), which sums its choices' rows (_coset_choices), and
-    the orbit's size, the product of theirs."""
+def _unit_orbits(field: PrimeField, m: int, index: np.ndarray) -> tuple:
+    """(c, a', sizes): the pair of each unit orbit in index (orbit 0 is
+    (0, 0)), which sums its choices' rows (_coset_choices), and the orbit's
+    size, the product of theirs."""
     choices = _coset_choices(field, m)
-    if index is None:
-        index = np.arange(math.prod(len(rows) for _, rows, *_ in choices))
     pairs = np.zeros((len(index), 2 * m), dtype=np.int64)
     sizes = np.ones(len(index), dtype=np.int64)
     for place, rows, size, _ in choices:
@@ -508,13 +504,8 @@ def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     return event
 
 
-def restricted_dims(field: PrimeField, m: int, c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """The code dimension of each restricted pair (c[k] || c[k], a'[k]) (coset_support)."""
-    return coset_support(field, c, a_prime)[1]
-
-
 def _fullrank_event(field: PrimeField, m: int) -> Event:
-    return lambda c, a_prime: (restricted_dims(field, m, c, a_prime) == m - 1)[:, None]
+    return lambda c, a_prime: (coset_support(field, c, a_prime)[1] == m - 1)[:, None]
 
 
 def _report(
@@ -639,7 +630,7 @@ def fullrank_census(
     """Exhaustive fraction of restricted pairs whose code has dimension m - 1.
 
     Sums the sizes of the multiplier classes of unit orbits whose
-    restricted_dims is m - 1. Those sizes come from the coset sizes, as
+    dim (coset_support) is m - 1. Those sizes come from the coset sizes, as
     exact_fullrank_prob does, so the independent check of both is pair_sweep
     in the tests, which builds one code per restricted pair.
     """
@@ -650,7 +641,7 @@ def fullrank_census(
 def mc_fullrank_prob(
     field: PrimeField, m: int, trials: int, seed: int
 ) -> EnsembleReport:
-    """Monte-Carlo estimate of Pr(dim = m - 1) from restricted_dims; builds no code."""
+    """Monte-Carlo estimate of Pr(dim = m - 1) from coset_support; builds no code."""
     pairs = _pair_source(field, m, trials=trials, seed=seed)
     n, (hits,), zero_codes = _tally(pairs, _fullrank_event(field, m), 1)
     return _report(field, m, None, n, hits, zero_codes, exact_fullrank_prob(m, field.p), seed)

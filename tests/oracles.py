@@ -31,6 +31,24 @@ def rank(rows, p: int) -> int:
     return len(gauss_jordan(rows, p))
 
 
+def min_distance(rows, p: int) -> int:
+    """The least weight of a nonzero combination of the rows over GF(p), by
+    exhausting all p^k messages, k the number of rows (at least one): the
+    reference for Qc15Code.min_distance and the threshold scan. The products
+    are taken in float64, exact while (p-1)^2 k < 2^53, which holds wherever
+    p^k messages can be listed."""
+    gen = np.asarray(rows, dtype=np.int64) % p
+    k, best = len(gen), gen.shape[1] + 1
+    assert (p - 1) ** 2 * k < 2**53
+    radix = p ** np.arange(k, dtype=np.int64)
+    for start in range(0, p**k, 1 << 15):
+        index = np.arange(start, min(start + (1 << 15), p**k), dtype=np.int64)
+        words = (index[:, None] // radix % p).astype(float) @ gen.astype(float) % p
+        weights = np.count_nonzero(words, axis=1)
+        best = int(weights[weights > 0].min(initial=best))
+    return best
+
+
 def multiplier_class_count(codes, m: int, p: int) -> int:
     """The number of codes of length 3m, laid out (w, copy of w, v) and each
     given by its generator rows, up to the multipliers X -> X^s for the units

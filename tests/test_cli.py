@@ -182,6 +182,22 @@ class TestConstruct:
         doc = json.loads(out)
         assert doc["min_distance"] == 2
 
+    def test_distance_of_restricted_pairs_at_m_17_and_31(self, capsys):
+        # the threshold scan's search answers m = 17 (dim 16, 3^16 words) at
+        # the default limit; at m = 31 the plan below the lightest RREF row
+        # (dim 30, U = 21) is past it, so the command stops before any scan
+        c = "1,2,0,1,1,1,0,0,1,2,1,0,0,2,1,1,1"
+        rc, out, err = run_cli(capsys, "distance", "--q", "3", "--m", "17", "--a", f"{c},{c}",
+                               "--a-prime", "2,0,0,0,1,0,2,1,2,1,0,0,0,1,1,2,2")
+        assert (rc, err) == (0, "")
+        assert (json.loads(out)["dim"], json.loads(out)["min_distance"]) == (16, 12)
+        c = "1,2,0,1,2,1,0,1,0,1,1,1,0,0,0,1,2,1,1,2,2,2,0,2,1,2,1,2,2,1,0"
+        rc, out, err = run_cli(
+            capsys, "distance", "--q", "3", "--m", "31", "--a", f"{c},{c}", "--a-prime",
+            "0,1,0,1,2,1,1,2,0,1,2,1,1,0,1,2,2,1,2,1,1,2,0,0,2,0,2,1,1,0,2")
+        assert (rc, out) == (3, "")
+        assert err == "error: 43034552 candidate messages exceed the limit 16777216\n"
+
     def test_non_prime_q_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "construct", "--q", "4", "--m", "2", "--a", "1", "--a-prime", "1")
         assert rc == 2

@@ -4,6 +4,7 @@ The two worked examples over GF(3) with m = 2 are used as golden cases: their
 generator matrices and full codeword sets are pinned here verbatim.
 """
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -23,7 +24,6 @@ from qc15.codes import (
     construct_code,
     generator_poly,
     gf_matmul,
-    gf_rank,
     gf_rref,
     leading_independent_rows,
     lightest_word_weights,
@@ -32,7 +32,7 @@ from qc15.codes import (
     scan_plan,
     span_matrix,
 )
-from qc15.algebra import coset_idempotents
+from qc15.algebra import coset_idempotents, cyclotomic_cosets
 from qc15.ensemble import (
     TRIAL_BLOCK,
     _sample_block,
@@ -49,7 +49,7 @@ from qc15.errors import (
     RingMismatch,
     ZeroCode,
 )
-from oracles import gauss_jordan, multiplier_class_count, rank
+from oracles import gauss_jordan, min_distance, multiplier_class_count, rank
 
 F3 = PrimeField(3)
 
@@ -349,7 +349,9 @@ class TestKeptRows:
         rnd = random.Random(71)
         for _ in range(20):
             code = construct_code(*random_pair(rnd, F3, 5))
-            assert code.has_word_of_weight_at_most(5) == (code.min_distance().distance <= 5)
+            d = min_distance(code.gen_matrix, 3)
+            assert code.has_word_of_weight_at_most(5) == (d <= 5)
+            assert code.min_distance().distance == d
         deltas = (Fraction(1, 10), Fraction(3, 10))
         assert len(mc_delta_probs(F3, 5, deltas, 50, 42)) == 2
         assert len(exact_delta_leq_probs(F3, 5, deltas)) == 2
@@ -371,7 +373,6 @@ class TestGfRref:
             expected = gauss_jordan(mat.tolist(), p)
             assert rref.dtype == np.int64 and rref.tolist() == expected
             assert pivots == [next(j for j, x in enumerate(row) if x) for row in expected]
-            assert gf_rank(mat, p) == len(pivots) == len(expected)
 
     def test_no_columns(self):
         # no column to pivot on: every matrix keeps no row
@@ -379,7 +380,6 @@ class TestGfRref:
         assert dims.tolist() == [0, 0] and rrefs.shape == (2, 3, 0)
         rref, pivots = gf_rref(np.zeros((3, 0), dtype=np.int64), 3)
         assert (rref.shape, pivots) == ((0, 0), [])
-        assert gf_rank(np.zeros((3, 0), dtype=np.int64), 3) == 0
 
 
 INT64_EDGE = math.isqrt(2**63 - 1) + 1  # (p - 1)^2 < 2^63 iff p <= INT64_EDGE
@@ -482,7 +482,9 @@ def short_w_projections(field: PrimeField, c: np.ndarray) -> np.ndarray:
 
 
 def orbit_pairs(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]:
-    c, a_prime, _ = _unit_orbits(field, m)
+    """One pair of each unit orbit: prod(q^|C| + 2) over the nonzero cosets C."""
+    total = math.prod(field.p**d + 2 for d in cyclotomic_cosets(m, field.p).nonzero_sizes())
+    c, a_prime, _ = _unit_orbits(field, m, np.arange(total))
     return c, a_prime
 
 
@@ -493,7 +495,7 @@ def sampled_pairs(field: PrimeField, m: int, seed: int) -> tuple[np.ndarray, np.
 
 class TestStackedScan:
     """leading_independent_rows on (B, R, C) stacks and restricted_codes,
-    against gauss_jordan and construct_code one matrix at a time."""
+    against gauss_jordan and the rank one matrix at a time."""
 
     def assert_scan_matches_gauss_jordan(self, stack: np.ndarray, p: int) -> np.ndarray:
         dims, rrefs = leading_independent_rows(stack, p)
@@ -512,14 +514,10 @@ class TestStackedScan:
         for code, x, y, span in zip(built, c.tolist(), a_prime.tolist(), spans):
             a = RingElement(field, 2 * len(x), tuple(x + x))
             ap = RingElement(field, len(y), tuple(y))
-            ref = construct_code(a, ap)
             # a and a' are read back from row 0 of gen_matrix, the zero code's too
-            assert (code.a, code.a_prime, ref.a, ref.a_prime) == (a, ap, a, ap)
-            assert code.dim == ref.dim
+            assert (code.a, code.a_prime) == (a, ap)
             assert code.dim == rank(span, field.p)
             assert np.array_equal(code.gen_matrix, span[: code.dim])
-            assert np.array_equal(code.gen_matrix, ref.gen_matrix)
-            assert np.array_equal(code.rref, ref.rref)
             assert code.rref.tolist() == gauss_jordan(span, field.p)
 
     @pytest.mark.parametrize("m", (1, 2, 4, 5, 7))
@@ -698,8 +696,72 @@ class TestEnumerateAndDistance:
             code.min_distance()
 
     def test_distance_limit(self):
-        with pytest.raises(EnumerationTooLarge):
-            example2().min_distance(limit=8)
+        # d <= U = 2, the least weight of a row of the RREF, so the search
+        # stops by cap 1: the limit counts the 3 candidates of its plan
+        # (1, -1), not the 9 of cap 2 or the 27 words
+        assert example2().min_distance(limit=3).distance == 2
+        with pytest.raises(EnumerationTooLarge, match="^3 candidate messages exceed the limit 2$"):
+            example2().min_distance(limit=2)
+
+    def test_distance_limit_at_m_17_before_any_product(self, monkeypatch):
+        # a restricted pair: dim 16, full projections in (X-1)R_m and U = d =
+        # 12, so the limit counts plan (3, 3) of cap 11 (plan (4, 2) of cap
+        # 12 needs 17,312), once, before any product
+        m, c = 17, "1,2,0,1,1,1,0,0,1,2,1,0,0,2,1,1,1"
+        a = RingElement.from_text(F3, 2 * m, f"{c},{c}")
+        ap = RingElement.from_text(F3, m, "2,0,0,0,1,0,2,1,2,1,0,0,0,1,1,2,2")
+        code = construct_code(a, ap)
+        assert (code.dim, code.full_projections, code.sum_zero) == (16, True, True)
+        assert int(np.count_nonzero(code.rref, axis=1).min()) == 12
+        assert [codes.plan_candidates(3, 16, scan_plan(3, 16, True, True, cap))
+                for cap in (11, 12)] == [4992, 17312]
+        assert construct_code(a, ap).min_distance(limit=4992).distance == 12
+        monkeypatch.setattr(codes, "gf_matmul", None)  # any product fails
+        message = "^4992 candidate messages exceed the limit 4991$"
+        with pytest.raises(EnumerationTooLarge, match=message):
+            code.min_distance(limit=4991)
+
+    def test_plan_candidates_never_fall_as_cap_grows(self):
+        # so min_distance checks the limit on the plan of its widest cap alone
+        for p, dim, full, sum_zero in product((3, 5, 7), range(1, 13), (False, True),
+                                              (False, True)):
+            counts = [codes.plan_candidates(p, dim, scan_plan(p, dim, full, sum_zero, cap))
+                      for cap in range(3 * dim + 3)]
+            assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("q, m", ((3, 4), (3, 5)))
+    def test_distance_on_every_unit_orbit(self, q, m):
+        # construct_code builds restricted_codes' code for a = c || c: the
+        # same dim, generator matrix and flags, and an unread rref
+        field = PrimeField(q)
+        c, a_prime = orbit_pairs(field, m)
+        for ref, x, y in zip(restricted_codes(field, c, a_prime), c.tolist(), a_prime.tolist()):
+            code = construct_code(RingElement(field, 2 * m, tuple(x + x)),
+                                  RingElement(field, m, tuple(y)))
+            assert (code.dim, code.full_projections, code.sum_zero) == (
+                ref.dim, ref.full_projections, ref.sum_zero)
+            assert np.array_equal(code.gen_matrix, ref.gen_matrix) and "rref" not in vars(code)
+            if code.dim:
+                assert code.min_distance().distance == min_distance(code.gen_matrix, q)
+
+    @pytest.mark.parametrize("q", (5, 7))
+    def test_distance_on_random_codes(self, q):
+        # general pairs, some with a' = 0 (a unit a gives d = 1), and pairs
+        # a = c || c, in and out of (X-1)R_m
+        field, rnd, seen = PrimeField(q), random.Random(q), set()
+        for _ in range(40):
+            m = rnd.choice((2, 3))
+            a, ap = random_pair(rnd, field, m)
+            if rnd.random() < 0.5:
+                a = RingElement(field, 2 * m, a.coeffs[:m] * 2)
+            elif rnd.random() < 0.4:
+                ap = RingElement.zero(field, m)
+            code = construct_code(a, ap)
+            if code.dim:
+                d = min_distance(code.gen_matrix, q)
+                assert code.min_distance() == (d, Fraction(d, 3 * m))
+                seen.add((d, code.full_projections))
+        assert {1, 2} <= {d for d, _ in seen} and {True, False} <= {f for _, f in seen}
 
     def test_all_ones_pair_against_rowspace_oracle(self):
         a = RingElement(F3, 4, (1, 1, 1, 1))
@@ -722,7 +784,7 @@ class TestEnumerateAndDistance:
 
 
 def scan_oracle_codes():
-    """Codes whose threshold scan is checked against min_distance.
+    """Codes whose threshold scan is checked against the exhaustive oracle.
 
     They cover pivot multiplicities 1 (unrestricted pairs), 2 (u-part pivots
     of restricted pairs, including u-parts of lower rank) and columns that
@@ -759,7 +821,7 @@ class TestLowWeightSearch:
             if code.dim == 0:
                 assert not any(code.has_word_of_weight_at_most(w) for w in ws)
                 continue
-            d = code.min_distance().distance
+            d = distance_oracle(code)
             assert [code.has_word_of_weight_at_most(w) for w in ws] == [d <= w for w in ws]
 
     def test_lightest_word_weight_is_capped_min_distance(self):
@@ -767,7 +829,7 @@ class TestLowWeightSearch:
         # kept widest scan, and must agree
         for code in scan_oracle_codes():
             caps = range(0, code.length + 1)
-            d = code.min_distance().distance if code.dim else code.length + 1
+            d = distance_oracle(code) if code.dim else code.length + 1
             expected = [min(d, cap + 1) for cap in caps]
             assert [code.lightest_word_weight(cap) for cap in caps] == expected
             if code.dim:
@@ -822,19 +884,19 @@ def all_restricted_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distance_oracle(code: Qc15Code) -> float:
-    """d_min by min_distance, inf for the zero code; a code of dim 1 has the
-    scalar multiples of its one row as words, so d_min is that row's weight.
-    Past the enumeration limit a word of a dim-2 code y @ G vanishes on the
-    nonzero columns of G on the line y^perp, so d_min is the number of
-    nonzero columns less the most that lie on one line."""
+    """d_min by the exhaustive oracle, inf for the zero code; a code of dim 1
+    has the scalar multiples of its one row as words, so d_min is that row's
+    weight. Past p = 256, where listing p^2 messages is slow, a word of a
+    dim-2 code y @ G vanishes on the nonzero columns of G on the line y^perp,
+    so d_min is the number of nonzero columns less the most on one line."""
     p = code.field.p
     if code.dim == 1:
         return int(np.count_nonzero(code.gen_matrix))
-    if code.dim == 2 and p**2 > codes.DEFAULT_ENUM_LIMIT:
+    if code.dim == 2 and p > 256:
         cols = [(x, y) for x, y in code.gen_matrix.T.tolist() if x or y]
         lines = Counter((1, y * pow(x, -1, p) % p) if x else (0, 1) for x, y in cols)
         return len(cols) - max(lines.values())
-    return code.min_distance().distance if code.dim else math.inf
+    return min_distance(code.gen_matrix, p) if code.dim else math.inf
 
 
 def projection_ranks(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list:
@@ -966,12 +1028,12 @@ class TestStackedThresholdScan:
 
     def test_group_without_a_non_single_column(self, monkeypatch):
         # a dim-1 code of full support at m = 2 has one row and every column
-        # single: built by construct_code (no projection flag, so the weighted
-        # scan counts every column), its group's product has width 0
+        # single: with no projection flag the weighted scan counts every
+        # column, so its group's product has width 0
         c, a_prime = np.array([[1, 2], [2, 1], [1, 2]]), np.array([[1, 2], [1, 2], [2, 1]])
-        stack = [construct_code(RingElement(F3, 4, tuple(x + x)), RingElement(F3, 2, tuple(y)))
-                 for x, y in zip(c.tolist(), a_prime.tolist())]
-        assert [code.min_distance().distance for code in stack] == [6, 6, 6]
+        stack = [dataclasses.replace(code, full_projections=False, sum_zero=False)
+                 for code in restricted_codes(F3, c, a_prime)]
+        assert [distance_oracle(code) for code in stack] == [6, 6, 6]
         widths = []
         real = codes.gf_matmul
         monkeypatch.setattr(codes, "gf_matmul",
@@ -983,10 +1045,10 @@ class TestStackedThresholdScan:
         # dim-1 codes at m = 2 whose one row is (c, c, a'): full support, so
         # every column single and width 0, then zero on w (width 4) and zero
         # on v (width 2); one call of the weighted scan over every column
-        c, a_prime = [[1, 2], [0, 0], [1, 1]], [[1, 2], [1, 2], [0, 0]]
-        stack = [construct_code(RingElement(F3, 4, tuple(x + x)), RingElement(F3, 2, tuple(y)))
-                 for x, y in zip(c, a_prime)]
-        distances = [code.min_distance().distance for code in stack]
+        c, a_prime = np.array([[1, 2], [0, 0], [1, 1]]), np.array([[1, 2], [1, 2], [0, 0]])
+        stack = [dataclasses.replace(code, full_projections=False, sum_zero=False)
+                 for code in restricted_codes(F3, c, a_prime)]
+        distances = [distance_oracle(code) for code in stack]
         assert distances == [6, 2, 4]
         widths = []
         real = codes.gf_matmul
@@ -1030,7 +1092,8 @@ class TestStackedThresholdScan:
 
     def test_every_product_stays_within_product_block(self, monkeypatch):
         # larger products run on several BLAS threads, which spin on after
-        # the call, and their arrays pass the 128 KiB allocation threshold
+        # the call, and their arrays pass the 128 KiB allocation threshold;
+        # the stacked scan's products, then the 3^10 words of a dim-10 code
         sizes = []
         real = codes.gf_matmul
         monkeypatch.setattr(codes, "gf_matmul",
@@ -1038,7 +1101,7 @@ class TestStackedThresholdScan:
         c, a_prime, _ = _sample_block(F3, 11, 7, 0, TRIAL_BLOCK)
         stack = restricted_codes(F3, c, a_prime)
         lightest_word_weights(stack, 9)
-        next(code for code in stack if code.dim == 10).min_distance()
+        list(codes.codeword_blocks(next(code for code in stack if code.dim == 10).gen_matrix, 3))
         assert len(sizes) > 100 and max(sizes) <= codes.PRODUCT_BLOCK
 
     def test_limit_is_checked_once_per_dim_for_the_first_code_over_it(self, monkeypatch):

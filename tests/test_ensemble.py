@@ -20,7 +20,7 @@ from qc15.algebra import (
     min_factor_degree,
 )
 from qc15.bounds import ideal_expectation_bound
-from qc15.codes import circulant_matrix, construct_code, generator_poly
+from qc15.codes import circulant_matrix, construct_code, coset_support, generator_poly
 from qc15.ensemble import (
     TRIAL_BLOCK,
     _pair_source,
@@ -38,7 +38,6 @@ from qc15.ensemble import (
     mc_delta_probs,
     mc_fullrank_prob,
     restricted_elements,
-    restricted_dims,
     restricted_generators,
     sample_pair,
     sphere_count_check,
@@ -46,7 +45,7 @@ from qc15.ensemble import (
     weight_threshold,
 )
 from qc15.errors import DomainError, EmptyTrialSet, EnumerationTooLarge, NotCoprime
-from oracles import multiplier_class_count, rank
+from oracles import min_distance, multiplier_class_count, rank
 
 F3 = PrimeField(3)
 
@@ -70,14 +69,16 @@ def pair_sweep(q: int, m: int) -> tuple[tuple[int, ...], int]:
     for a, a_prime in product(*restricted_elements(field, m)):
         code = construct_code(a, a_prime)
         if code.dim:
-            distances.append(code.min_distance().distance)
+            distances.append(min_distance(code.gen_matrix, q))
         fullrank += 2 * m - generator_poly(a, a_prime).degree == m - 1
     return tuple(sum(d <= t for d in distances) for t in range(3 * m + 1)), fullrank
 
 
 def unit_orbits(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, a', sizes): one pair of each unit orbit and the orbit's size."""
-    return ensemble._unit_orbits(field, m)
+    """(c, a', sizes): one pair of each unit orbit and the orbit's size, of
+    prod(q^|C| + 2) orbits over the nonzero cosets C."""
+    total = math.prod(field.p**d + 2 for d in cyclotomic_cosets(m, field.p).nonzero_sizes())
+    return ensemble._unit_orbits(field, m, np.arange(total))
 
 
 def multiplier_classes(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -705,7 +706,7 @@ class TestRestrictedDims:
         a_prime = np.array([a_prime.coeffs for _, a_prime in pairs], dtype=np.int64)
         assert (a[:, :m] == a[:, m:]).all()  # a = c || c
         expected = [2 * m - int(generator_poly(*pair).degree) for pair in pairs]
-        assert restricted_dims(field, m, a[:, :m], a_prime).tolist() == expected
+        assert coset_support(field, a[:, :m], a_prime)[1].tolist() == expected
 
 
 def assert_rows_are_sample_pair_draws(field, m, seed, start, trials):
@@ -840,25 +841,29 @@ class TestSphereCount:
 # Each enumerates 27 words: the codewords of a dim-3 code at q = 3, m = 2, or
 # the elements of <b> for b = j_plus_generator(4) in R_8, of which <c> for
 # b = c || c is a copy (exact_low_weight_fraction enumerates <c> alone).
+# min_distance on the same dim-3 code enumerates no word: its limit counts the
+# 3 candidate messages of the scan plan of cap U - 1 = 1 (plan (1, -1)).
+DIM3_CODE = (RingElement(F3, 4, (2, 1, 0, 0)), RingElement(F3, 2, (2, 1)))
 WORD_ENUMERATIONS = {
-    "codewords": lambda limit: construct_code(
-        RingElement(F3, 4, (2, 1, 0, 0)), RingElement(F3, 2, (2, 1))).codewords(limit),
-    "min_distance": lambda limit: construct_code(
-        RingElement(F3, 4, (2, 1, 0, 0)), RingElement(F3, 2, (2, 1))).min_distance(limit),
-    "ideal_elements": lambda limit: ideal_elements(j_plus_generator(4), limit),
-    "exact_low_weight_fraction": lambda limit: exact_low_weight_fraction(
-        j_plus_generator(4), "0.5", limit),
-    "sphere_count_check": lambda limit: sphere_count_check(j_plus_generator(4), 8, limit),
+    "codewords": (lambda limit: construct_code(*DIM3_CODE).codewords(limit), 27, "words"),
+    "min_distance": (lambda limit: construct_code(*DIM3_CODE).min_distance(limit),
+                     3, "candidate messages"),
+    "ideal_elements": (lambda limit: ideal_elements(j_plus_generator(4), limit), 27, "words"),
+    "exact_low_weight_fraction": (lambda limit: exact_low_weight_fraction(
+        j_plus_generator(4), "0.5", limit), 27, "words"),
+    "sphere_count_check": (
+        lambda limit: sphere_count_check(j_plus_generator(4), 8, limit), 27, "words"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORD_ENUMERATIONS))
 def test_word_limit_is_the_number_of_words(name):
-    enumerate_words = WORD_ENUMERATIONS[name]
+    enumerate_words, count, what = WORD_ENUMERATIONS[name]
     assert 3 ** ideal_dim(j_plus_generator(4)) == 27
-    enumerate_words(27)
-    with pytest.raises(EnumerationTooLarge, match="^27 words exceed the limit 26$"):
-        enumerate_words(26)
+    assert construct_code(*DIM3_CODE).dim == 3
+    enumerate_words(count)
+    with pytest.raises(EnumerationTooLarge, match=f"^{count} {what} exceed the limit {count - 1}$"):
+        enumerate_words(count - 1)
 
 
 def test_report_csv_row_roundtrip():

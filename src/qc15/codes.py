@@ -10,15 +10,16 @@ construct_code runs one scan of the span matrix (the 2m circulant rows): dim
 is its rank, the rows it keeps are the generator matrix. The same scan of
 circ(b) gives the dimension and basis of any ideal <b> of R_n
 (ensemble.ideal_basis), and codeword_blocks enumerates the words of a code or
-an ideal from its basis. Restricted codes (a = c || c, restricted_codes)
-read their dims off the coset projections, and their RREFs are computed only
-for the codes a threshold scan reads. A stack's threshold queries take one
-scan per RREF shape (lightest_word_weights, rref_lightest_weights): two
-information sets for restricted codes whose w- and v-projections have full
-rank, else one weighted-pivot scan (scan_plan). In (X-1)R_m a nonzero w or v
-sums to 0, so weighs 2 or more: the sum-zero bound. min_distance raises the
-scan's cap until it answers. The monic generator and check polynomials g and
-h, g*h = X^{2m}-1 and dim = deg h, are derived from (a, a') when first read.
+an ideal from its basis. Every other fact of a code is derived from its
+generator rows when first read: the monic generator and check polynomials g
+and h (g*h = X^{2m}-1, dim = deg h) from row 0, (a, a'). Restricted codes
+(row 0 repeats w: a = c || c) read their projections off the coset
+projections, a stack's dims too in the same product (restricted_codes), and
+their RREFs are computed only for the codes a threshold scan reads. A
+stack's threshold queries take one scan per RREF shape (lightest_word_weights,
+rref_lightest_weights): two information sets for restricted codes whose w-
+and v-projections have full rank, else one weighted-pivot scan (scan_plan).
+min_distance raises the scan's cap until it answers.
 """
 
 from __future__ import annotations
@@ -216,9 +217,11 @@ class DistanceResult(NamedTuple):
 class Qc15Code:
     """An index-1½ quasi-cyclic code with its derived parameters.
 
-    Immutable after construction, but for the memo `lightest`, which only
-    saves rescans, and rref, g and h, computed on first read; all methods are
-    pure. A code compares and hashes by identity: pairs can span one code.
+    Four fields are the code, gen_matrix the encodings of X^0..X^{dim-1}:
+    immutable but for rref, projections, a, a', g and h, derived on first
+    read, and the memo `lightest`, which only saves rescans and starts empty
+    however the code is built. All methods are pure. A code compares and
+    hashes by identity: pairs can span one code.
     """
 
     field: PrimeField
@@ -227,11 +230,7 @@ class Qc15Code:
     gen_matrix: np.ndarray = dc_field(repr=False)
     # (cap, lightest_word_weight(cap)) of the widest scan so far; (0, 1) holds
     # for every nonzero code
-    lightest: tuple[int, int] = dc_field(default=(0, 1), repr=False)
-    # a restricted code whose w- and v-projections have rank dim: two information sets
-    full_projections: bool = dc_field(default=False, repr=False)
-    # a restricted code with c and a' in (X-1)R_m: nonzero w and v weigh >= 2
-    sum_zero: bool = dc_field(default=False, repr=False)
+    lightest: tuple[int, int] = dc_field(default=(0, 1), init=False, repr=False)
 
     @cached_property
     def rref(self) -> np.ndarray:
@@ -239,6 +238,16 @@ class Qc15Code:
         (rref,) = leading_independent_rows(self.gen_matrix[None], self.field.p)[1]
         rref.setflags(write=False)
         return rref
+
+    @cached_property
+    def projections(self) -> tuple[bool, bool] | None:
+        """None unless row 0 repeats w (a = c || c), else (full, sum_zero) of
+        (c, a') from coset_support; restricted_codes fills it in for its stack."""
+        row, m = self.a.coeffs + self.a_prime.coeffs, self.m  # row 0, the zero code's too
+        if row[:m] != row[m : 2 * m]:
+            return None
+        _, full, sum_zero = coset_support(self.field, np.array([row[:m]]), np.array([row[2 * m :]]))
+        return bool(full[0]), bool(sum_zero[0])
 
     @cached_property
     def a(self) -> RingElement:
@@ -279,9 +288,6 @@ class Qc15Code:
     def rate(self) -> Fraction:
         return Fraction(self.dim, self.length)
 
-    def zero_word(self) -> Word:
-        return Word(self.m, (0,) * self.length)
-
     def encode(self, f: RingElement) -> Word:
         """Image of f under f -> (f*a, f*a'), the module map defining the code."""
         if f.n != 2 * self.m or f.field != self.field:
@@ -296,7 +302,7 @@ class Qc15Code:
             raise DimensionMismatch(f"message length {len(y)} != dim {self.dim}")
         p = self.field.p
         if self.dim == 0:
-            return self.zero_word()
+            return Word(self.m, (0,) * self.length)
         out = gf_matmul(np.array([[c % p for c in y]], dtype=np.int64), self.gen_matrix, p)
         return Word(self.m, tuple(int(c) for c in out[0]))
 
@@ -318,16 +324,14 @@ class Qc15Code:
         if self.dim == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         p, upper = self.field.p, int(np.count_nonzero(self.rref, axis=1).min())
-        widest = scan_plan(p, self.dim, self.full_projections, self.sum_zero, upper - 1)
-        check_limit(p, self.dim, widest, limit)
+        widest = scan_plan(p, self.dim, self.projections, upper - 1)
+        check_limit(plan_candidates(p, self.dim, widest), "candidate messages", limit)
         d = 1
         while d < upper and self.lightest_word_weight(d, limit) > d:
             d += 1
         return DistanceResult(d, Fraction(d, self.length))
 
-    def has_word_of_weight_at_most(
-        self, max_weight: int, limit: int = DEFAULT_ENUM_LIMIT
-    ) -> bool:
+    def has_word_of_weight_at_most(self, max_weight: int, limit: int = DEFAULT_ENUM_LIMIT) -> bool:
         """Whether some nonzero codeword has Hamming weight <= max_weight."""
         if self.dim and max_weight >= self.length:
             return True
@@ -365,25 +369,19 @@ class Qc15Code:
 def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     """Build the code spanned by (a, a') with its dim and generator matrix.
 
-    A pair a = c || c gets restricted_codes' code for (c, a'), flags and all.
-    Else one scan of the span matrix (leading_independent_rows, a stack of
-    one) keeps each row that increases the rank: dim is the number kept, the
-    generator matrix is those rows and their RREF is the code's rref. As a
-    module the code is GF(p)[X]/(h), so no nonzero polynomial of degree < dim
-    annihilates (a, a'): the kept rows are rows 0..dim-1, the encodings of
-    X^0..X^{dim-1}. g and h are derived when first read.
+    One scan of the span matrix (leading_independent_rows, a stack of one)
+    keeps each row that increases the rank: dim is the number kept, the
+    generator matrix is those rows. As a module the code is GF(p)[X]/(h), so
+    no nonzero polynomial of degree < dim annihilates (a, a'): the kept rows
+    are rows 0..dim-1, the encodings of X^0..X^{dim-1}. Every other fact is
+    derived from them when first read, so a pair a = c || c gets the code
+    restricted_codes builds for (c, a').
     """
     full = span_matrix(a, a_prime)  # checks the rings
     check_coprime(a_prime.n, a.field.p)
-    m = a_prime.n
-    if a.coeffs[:m] == a.coeffs[m:]:
-        return restricted_codes(a.field, full[:1, :m], full[:1, 2 * m :])[0]
-    (dim,), (rref,) = leading_independent_rows(full[None], a.field.p)
-    for x in (full, rref):
-        x.setflags(write=False)
-    code = Qc15Code(a.field, m, int(dim), full[:dim])
-    vars(code)["rref"] = rref[:dim]  # the rref property's value
-    return code
+    (dim,), _ = leading_independent_rows(full[None], a.field.p)
+    full.setflags(write=False)
+    return Qc15Code(a.field, a_prime.n, int(dim), full[:dim])
 
 
 @lru_cache(maxsize=None)
@@ -398,43 +396,44 @@ def coset_projection(field: PrimeField, m: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def coset_support(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> tuple:
-    """The (2, B, cosets) stack of whether c[k] e_C and a'[k] e_C are nonzero
-    (coset {0} first) and the dim of each code (c[k] || c[k], a'[k]), the sum
-    of |C| over the cosets C where either is, from one product."""
+    """(dims, full, sum_zero) of each code (c[k] || c[k], a'[k]), from one
+    product: whether c[k] e_C and a'[k] e_C are nonzero (coset {0} first).
+    dim sums |C| over the cosets C where either is. <c> has rank dim when c
+    e_C != 0 on every such C, and likewise <a'>: full (two information sets)
+    when the two supports are equal. sum_zero when neither is on coset {0}:
+    c and a' lie in (X-1)R_m, where nonzero w and v weigh >= 2."""
     blocks, sizes = coset_projection(field, c.shape[1])
     projected = gf_matmul(np.vstack([c, a_prime]), blocks, field.p)
-    support = projected.reshape(2, len(c), -1, c.shape[1]).any(axis=3)
-    return support, support.any(axis=0) @ sizes
+    on_c, on_a_prime = projected.reshape(2, len(c), -1, c.shape[1]).any(axis=3)
+    return ((on_c | on_a_prime) @ sizes, (on_c == on_a_prime).all(axis=1),
+            ~(on_c[:, 0] | on_a_prime[:, 0]))
 
 
 def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list[Qc15Code]:
     """construct_code(c[k] || c[k], a'[k]) for each row k of the (B, m) stacks
-    c and a', from one coset_support product and no row scan.
-
-    The code is {(w, w, v) : (w, v) in R_m (c, a')}: dim from coset_support,
-    gen_matrix the first dim rows of [circ(c) | circ(c) | circ(a')], a basis
-    (construct_code), and rref unread until a scan needs it. <c> has rank dim
-    when c e_C != 0 on every coset C where (c, a') e_C != 0, and likewise
-    <a'>: full_projections when the two supports are equal. Coset {0} tells
-    whether c and a' lie in (X-1)R_m: sum_zero.
-    """
-    (on_c, on_a_prime), dims = coset_support(field, c, a_prime)
-    full = (on_c == on_a_prime).all(axis=1).tolist()
-    sum_zero = (~(on_c[:, 0] | on_a_prime[:, 0])).tolist()
+    c and a', from one coset_support product and no row scan: the code
+    {(w, w, v) : (w, v) in R_m (c, a')}, its dim and projections from that
+    product, gen_matrix the first dim rows of [circ(c) | circ(c) | circ(a')],
+    a basis (construct_code), and rref unread until a scan needs it."""
+    dims, full, sum_zero = coset_support(field, c, a_prime)
     gens = np.concatenate([circulant_matrix(c)] * 2 + [circulant_matrix(a_prime)], axis=2)
     gens.setflags(write=False)
-    return [Qc15Code(field, c.shape[1], d, gen[:d], full_projections=f, sum_zero=z)
-            for d, gen, f, z in zip(dims.tolist(), gens, full, sum_zero)]
+    built = [Qc15Code(field, c.shape[1], d, gen[:d]) for d, gen in zip(dims.tolist(), gens)]
+    for code, projections in zip(built, zip(full.tolist(), sum_zero.tolist())):
+        vars(code)["projections"] = projections  # the projections property's value
+    return built
 
 
-def scan_plan(p: int, dim: int, full: bool, sum_zero: bool, cap: int) -> tuple[int, int]:
+def scan_plan(p: int, dim: int, projections: tuple | None, cap: int) -> tuple[int, int]:
     """(a, b): the threshold scan tries messages of plain weight <= a in the
     RREF and, for b >= 1, those of plain weight <= b in the v-systematic form.
-    A nonzero w or v weighs lo = 2 or more in (X-1)R_m (sum_zero), else 1. With
+    projections is a code's (full, sum_zero), or None for a general code. A
+    nonzero w or v weighs lo = 2 or more in (X-1)R_m (sum_zero), else 1. With
     full projections a word both miss weighs >= max(2a + 2, 2 lo) + max(b + 1,
     lo): the (a, b) where that exceeds cap with the fewest candidates, the
     smaller b on a tie (b = 0 builds no v-form). Else (cap, -1), the weighted
     scan, or (0, 0), which tries no message, where lo > cap."""
+    full, sum_zero = projections or (False, False)
     lo = 2 if sum_zero else 1
     if not full:
         return (0, 0) if cap < lo else (cap, -1)
@@ -448,11 +447,12 @@ def plan_candidates(p: int, dim: int, plan: tuple[int, int]) -> int:
     return sum(low_weight_message_count(p, dim, w) for w in plan)
 
 
-def check_limit(p: int, dim: int, plan: tuple[int, int], limit: int) -> None:
-    """Raise EnumerationTooLarge when the plan's candidates exceed the limit."""
-    n_cand = plan_candidates(p, dim, plan)
-    if n_cand > limit:
-        raise EnumerationTooLarge(f"{n_cand} candidate messages exceed the limit {limit}")
+def check_limit(count: int, what: str, limit: int) -> None:
+    """Raise EnumerationTooLarge when count exceeds the limit, capped at
+    2^63 - 1 so that every index of what is counted fits in int64."""
+    limit = min(limit, 2**63 - 1)
+    if count > limit:
+        raise EnumerationTooLarge(f"{count} {what} exceed the limit {limit}")
 
 
 def _weighted_scan(
@@ -527,22 +527,23 @@ def lightest_word_weights(
     """lightest_word_weight(cap, limit) of each code of a stack over one field;
     the codes whose memo is narrower than cap are scanned, one
     rref_lightest_weights call per RREF shape, and keep the result. Each dim and
-    pair of flags gets one scan_plan, whose candidates the limit bounds
+    projections gets one scan_plan, whose candidates the limit bounds
     (plan_candidates); every plan is checked before any scan, and a stack of
     memo hits checks nothing. A plan (0, 0) keeps cap + 1 with no scan. Unread
-    RREFs (restricted_codes') come from one row scan per m of the w and v
-    columns (the copy of w is equal), padded to the widest dim."""
+    RREFs of restricted codes (projections not None) come from one row scan
+    per m of the w and v columns (the copy of w is equal), padded to the
+    widest dim."""
     todo = [code for code in codes if code.dim and cap > code.lightest[0]]
     p = todo[0].field.p if todo else 0
-    keys = [(code.dim, code.full_projections, code.sum_zero) for code in todo]
+    keys = [(code.dim, code.projections) for code in todo]
     plans = {key: scan_plan(p, *key, cap) for key in dict.fromkeys(keys)}
-    for (dim, *_), plan in plans.items():
-        check_limit(p, dim, plan, limit)
+    for (dim, _), plan in plans.items():
+        check_limit(plan_candidates(p, dim, plan), "candidate messages", limit)
     for code, key in zip(todo, keys):  # plan (0, 0): every nonzero word is heavier than cap
         if plans[key] == (0, 0):
             object.__setattr__(code, "lightest", (cap, cap + 1))
     todo = [(code, plans[key]) for code, key in zip(todo, keys) if plans[key] != (0, 0)]
-    unread = [code for code, _ in todo if "rref" not in vars(code)]
+    unread = [code for code, _ in todo if code.projections and "rref" not in vars(code)]
     for m in dict.fromkeys(code.m for code in unread):
         same = [code for code in unread if code.m == m]
         stack = np.zeros((len(same), max(code.dim for code in same), 2 * m), dtype=np.int64)
@@ -570,11 +571,9 @@ def codeword_blocks(
     blocks of about PRODUCT_BLOCK entries; message index i has digits
     y_j = (i // p^j) % p, so index 0 is the zero word (the only one when k = 0).
 
-    Raises at the call, before any block, when p^k exceeds the limit, which is
-    capped at 2^63 - 1 so that every message index fits in int64."""
-    k, total, limit = len(gen), p ** len(gen), min(limit, 2**63 - 1)
-    if total > limit:
-        raise EnumerationTooLarge(f"{total} words exceed the limit {limit}")
+    Raises at the call, before any block, when p^k exceeds the limit."""
+    k, total = len(gen), p ** len(gen)
+    check_limit(total, "words", limit)
     radix = np.array([p**j for j in range(k)], dtype=np.int64)
     step = max(1, PRODUCT_BLOCK // gen.shape[1])  # messages per block
     idx = (np.arange(i, min(i + step, total), dtype=np.int64) for i in range(0, total, step))

@@ -81,6 +81,7 @@ from .bounds import delta_prob_bound, qary_entropy
 from .codes import (
     DEFAULT_ENUM_LIMIT,
     PRODUCT_BLOCK,
+    check_limit,
     circulant_matrix,
     codeword_blocks,
     coset_support,
@@ -88,7 +89,7 @@ from .codes import (
     lightest_word_weights,
     restricted_codes,
 )
-from .errors import DomainError, EmptyTrialSet, EnumerationTooLarge
+from .errors import DomainError, EmptyTrialSet
 
 DeltaLike = Union[float, str, Fraction]
 
@@ -400,9 +401,7 @@ def _pair_source(
     check_coprime(m, field.p)
     if trials is not None:
         return (_sample_block(field, m, seed, i, trials) for i in range(0, trials, TRIAL_BLOCK))
-    pairs, limit = field.p ** (2 * (m - 1)), min(limit, 2**63 - 1)  # orbit indices < pairs
-    if pairs > limit:
-        raise EnumerationTooLarge(f"{pairs} pairs exceed the limit {limit}")
+    check_limit(field.p ** (2 * (m - 1)), "pairs", limit)  # orbit indices < pairs
     return _class_stacks(field, m, _coset_choices(field, m))
 
 
@@ -505,7 +504,7 @@ def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
 
 
 def _fullrank_event(field: PrimeField, m: int) -> Event:
-    return lambda c, a_prime: (coset_support(field, c, a_prime)[1] == m - 1)[:, None]
+    return lambda c, a_prime: (coset_support(field, c, a_prime)[0] == m - 1)[:, None]
 
 
 def _report(

@@ -198,6 +198,15 @@ class TestConstruct:
         assert (rc, out) == (3, "")
         assert err == "error: 43034552 candidate messages exceed the limit 16777216\n"
 
+    def test_distance_of_a_restricted_pair_with_short_projections(self, capsys):
+        # a = c || c outside (X-1)R_m, neither projection of rank dim: the
+        # weighted scan through construct_code, d = 10 (exhaustive over 3^14)
+        c = "2,1,1,1,1,1,1,2,2,2,2,1,1,2"
+        rc, out, err = run_cli(capsys, "distance", "--q", "3", "--m", "14", "--a", f"{c},{c}",
+                               "--a-prime", "1,0,2,0,2,1,0,0,1,0,0,1,2,1")
+        assert (rc, err) == (0, "")
+        assert (json.loads(out)["dim"], json.loads(out)["min_distance"]) == (14, 10)
+
     def test_non_prime_q_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "construct", "--q", "4", "--m", "2", "--a", "1", "--a-prime", "1")
         assert rc == 2

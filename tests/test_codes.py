@@ -711,9 +711,9 @@ class TestEnumerateAndDistance:
         a = RingElement.from_text(F3, 2 * m, f"{c},{c}")
         ap = RingElement.from_text(F3, m, "2,0,0,0,1,0,2,1,2,1,0,0,0,1,1,2,2")
         code = construct_code(a, ap)
-        assert (code.dim, code.full_projections, code.sum_zero) == (16, True, True)
+        assert (code.dim, code.projections) == (16, (True, True))
         assert int(np.count_nonzero(code.rref, axis=1).min()) == 12
-        assert [codes.plan_candidates(3, 16, scan_plan(3, 16, True, True, cap))
+        assert [codes.plan_candidates(3, 16, scan_plan(3, 16, (True, True), cap))
                 for cap in (11, 12)] == [4992, 17312]
         assert construct_code(a, ap).min_distance(limit=4992).distance == 12
         monkeypatch.setattr(codes, "gf_matmul", None)  # any product fails
@@ -723,24 +723,27 @@ class TestEnumerateAndDistance:
 
     def test_plan_candidates_never_fall_as_cap_grows(self):
         # so min_distance checks the limit on the plan of its widest cap alone
-        for p, dim, full, sum_zero in product((3, 5, 7), range(1, 13), (False, True),
-                                              (False, True)):
-            counts = [codes.plan_candidates(p, dim, scan_plan(p, dim, full, sum_zero, cap))
+        facts = [None] + list(product((False, True), repeat=2))
+        for p, dim, projections in product((3, 5, 7), range(1, 13), facts):
+            counts = [codes.plan_candidates(p, dim, scan_plan(p, dim, projections, cap))
                       for cap in range(3 * dim + 3)]
             assert counts == sorted(counts)
 
     @pytest.mark.parametrize("q, m", ((3, 4), (3, 5)))
     def test_distance_on_every_unit_orbit(self, q, m):
         # construct_code builds restricted_codes' code for a = c || c: the
-        # same dim, generator matrix and flags, and an unread rref
+        # same dim, generator matrix and projections, so the same plan at
+        # every cap, with projections derived from its row 0
         field = PrimeField(q)
         c, a_prime = orbit_pairs(field, m)
         for ref, x, y in zip(restricted_codes(field, c, a_prime), c.tolist(), a_prime.tolist()):
             code = construct_code(RingElement(field, 2 * m, tuple(x + x)),
                                   RingElement(field, m, tuple(y)))
-            assert (code.dim, code.full_projections, code.sum_zero) == (
-                ref.dim, ref.full_projections, ref.sum_zero)
-            assert np.array_equal(code.gen_matrix, ref.gen_matrix) and "rref" not in vars(code)
+            assert "projections" not in vars(code)
+            assert (code.dim, code.projections) == (ref.dim, ref.projections)
+            assert np.array_equal(code.gen_matrix, ref.gen_matrix)
+            assert [scan_plan(q, code.dim, code.projections, cap) for cap in range(3 * m + 1)] == [
+                scan_plan(q, ref.dim, ref.projections, cap) for cap in range(3 * m + 1)]
             if code.dim:
                 assert code.min_distance().distance == min_distance(code.gen_matrix, q)
 
@@ -760,7 +763,7 @@ class TestEnumerateAndDistance:
             if code.dim:
                 d = min_distance(code.gen_matrix, q)
                 assert code.min_distance() == (d, Fraction(d, 3 * m))
-                seen.add((d, code.full_projections))
+                seen.add((d, bool(code.projections and code.projections[0])))
         assert {1, 2} <= {d for d, _ in seen} and {True, False} <= {f for _, f in seen}
 
     def test_all_ones_pair_against_rowspace_oracle(self):
@@ -916,9 +919,9 @@ class TestStackedThresholdScan:
     """lightest_word_weights on whole stacks against min(d_min, cap + 1)."""
 
     def assert_matches_oracle(self, field, c, a_prime, caps) -> tuple[list[Qc15Code], set]:
-        """The scan against the oracle at each cap, and the flag against the
-        projection ranks; returns the codes and the second bounds b of the
-        plans that ran (-1: the weighted scan alone, see scan_plan)."""
+        """The scan against the oracle at each cap, and projections against the
+        projection ranks and coefficient sums; returns the codes and the second
+        bounds b of the plans that ran (-1: the weighted scan alone, see scan_plan)."""
         built = restricted_codes(field, c, a_prime)
         distances = [distance_oracle(code) for code in built]
         for cap in caps:
@@ -927,12 +930,10 @@ class TestStackedThresholdScan:
             assert lightest_word_weights(stack, cap) == expected
             assert [code.lightest_word_weight(cap) for code in stack] == expected
         ranks = projection_ranks(field, c, a_prime)
-        assert [code.full_projections for code in built] == [
-            w == v == code.dim for code, (w, v) in zip(built, ranks)]
-        assert [code.sum_zero for code in built] == [
-            not (sum(x) % field.p or sum(y) % field.p)
-            for x, y in zip(c.tolist(), a_prime.tolist())]
-        bs = {scan_plan(field.p, code.dim, code.full_projections, code.sum_zero, cap)[1]
+        assert [code.projections for code in built] == [
+            (w == v == code.dim, not (sum(x) % field.p or sum(y) % field.p))
+            for code, (w, v), x, y in zip(built, ranks, c.tolist(), a_prime.tolist())]
+        bs = {scan_plan(field.p, code.dim, code.projections, cap)[1]
               for code in built if code.dim for cap in caps if cap}
         return built, bs
 
@@ -983,10 +984,10 @@ class TestStackedThresholdScan:
         one = np.eye(1, 5, dtype=np.int64)
         c, a_prime = np.vstack([one, c]), np.vstack([one, a_prime])
         built, bs = self.assert_matches_oracle(F3, c, a_prime, range(16))
-        assert (built[0].dim, built[0].full_projections, built[0].sum_zero) == (5, True, False)
+        assert (built[0].dim, built[0].projections) == (5, (True, False))
         assert distance_oracle(built[0]) == 3
-        assert {(code.full_projections, code.sum_zero) for code in built if code.dim} == {
-            (f, z) for f in (True, False) for z in (True, False)}
+        assert {code.projections for code in built if code.dim} == set(
+            product((True, False), repeat=2))
         assert {-1, 0, 1} <= bs
 
     @pytest.mark.parametrize("p", (P_31, P_LARGE))
@@ -1004,7 +1005,7 @@ class TestStackedThresholdScan:
         c, a_prime = gf_matmul(c, e, p), gf_matmul(a_prime, e, p)
         c[::2], a_prime[::2] = (c[::2] + 1) % p, (a_prime[::2] + 1) % p
         c[::7], a_prime[3::7] = 0, 0
-        keep = [code.full_projections or code.dim < 2
+        keep = [code.projections[0] or code.dim < 2
                 for code in restricted_codes(field, c, a_prime)]
         c, a_prime = c[keep], a_prime[keep]
         vforms = []
@@ -1013,7 +1014,7 @@ class TestStackedThresholdScan:
                             lambda mat, p: vforms.append(mat.shape) or real(mat, p))
         built, bs = self.assert_matches_oracle(field, c, a_prime, range(6))
         assert {-1, 0, 1} <= bs and short_sides(field, c, a_prime, built)
-        assert (sum(code.dim == 2 and code.full_projections for code in built), 2, 9) in vforms
+        assert (sum(code.dim == 2 and code.projections[0] for code in built), 2, 9) in vforms
 
     def test_oracle_codes_one_stack_per_field(self):
         # unrestricted pairs (mult 1), non-unit multiples of a pivot column
@@ -1028,17 +1029,17 @@ class TestStackedThresholdScan:
 
     def test_group_without_a_non_single_column(self, monkeypatch):
         # a dim-1 code of full support at m = 2 has one row and every column
-        # single: with no projection flag the weighted scan counts every
-        # column, so its group's product has width 0
+        # single: under plan (cap, -1) the weighted scan counts every column,
+        # so its group's product has width 0
         c, a_prime = np.array([[1, 2], [2, 1], [1, 2]]), np.array([[1, 2], [1, 2], [2, 1]])
-        stack = [dataclasses.replace(code, full_projections=False, sum_zero=False)
-                 for code in restricted_codes(F3, c, a_prime)]
+        stack = restricted_codes(F3, c, a_prime)
         assert [distance_oracle(code) for code in stack] == [6, 6, 6]
         widths = []
         real = codes.gf_matmul
         monkeypatch.setattr(codes, "gf_matmul",
                             lambda a, b, p: widths.append(b.shape[1]) or real(a, b, p))
-        assert lightest_word_weights(stack, 6) == [6, 6, 6]
+        rrefs = np.stack([code.rref for code in stack])
+        assert rref_lightest_weights(rrefs, 3, 6, np.tile((6, -1), (3, 1))).tolist() == [6, 6, 6]
         assert widths == [0]  # one product for the three codes
 
     def test_width_0_group_beside_wider_groups(self, monkeypatch):
@@ -1046,8 +1047,7 @@ class TestStackedThresholdScan:
         # every column single and width 0, then zero on w (width 4) and zero
         # on v (width 2); one call of the weighted scan over every column
         c, a_prime = np.array([[1, 2], [0, 0], [1, 1]]), np.array([[1, 2], [1, 2], [0, 0]])
-        stack = [dataclasses.replace(code, full_projections=False, sum_zero=False)
-                 for code in restricted_codes(F3, c, a_prime)]
+        stack = restricted_codes(F3, c, a_prime)
         distances = [distance_oracle(code) for code in stack]
         assert distances == [6, 2, 4]
         widths = []
@@ -1066,7 +1066,7 @@ class TestStackedThresholdScan:
         # plan (0, 0): in (X-1)R_m every nonzero word weighs at least 4 on w
         # and its copy and 2 on v; at cap 6 the codes of weight 6 are scanned
         c, a_prime = orbit_pairs(F3, 5)
-        keep = [code.full_projections and code.dim > 0 for code in restricted_codes(F3, c, a_prime)]
+        keep = [code.projections[0] and code.dim > 0 for code in restricted_codes(F3, c, a_prime)]
         c, a_prime = c[keep], a_prime[keep]
         distances = [distance_oracle(code) for code in restricted_codes(F3, c, a_prime)]
         assert len(distances) > 10
@@ -1111,26 +1111,26 @@ class TestStackedThresholdScan:
         # and 9 at dims 1, 2 and 3
         c, a_prime = orbit_pairs(F3, 4)
         stack = restricted_codes(F3, c, a_prime)
-        kinds = [(code.dim, code.full_projections) for code in stack if code.dim]
+        kinds = [(code.dim, code.projections[0]) for code in stack if code.dim]
         assert set(kinds) == {(d, f) for d in (1, 2, 3) for f in (True, False)}
         planned = []
         real = codes.scan_plan
         monkeypatch.setattr(codes, "scan_plan",
-                            lambda p, dim, full, sum_zero, cap: planned.append((dim, full))
-                            or real(p, dim, full, sum_zero, cap))
+                            lambda p, dim, projections, cap: planned.append((dim, projections))
+                            or real(p, dim, projections, cap))
         low = [code for code in stack if code.dim < 3]
         assert lightest_word_weights(low, 2, limit=4) == [
             min(distance_oracle(code), 3) for code in low]
         # a zero code is never scanned, so its dim is not planned
-        assert planned == list(dict.fromkeys((code.dim, code.full_projections)
+        assert planned == list(dict.fromkeys((code.dim, code.projections)
                                              for code in low if code.dim))
         full3 = [code for code in restricted_codes(F3, c, a_prime)
-                 if code.dim == 3 and code.full_projections]
+                 if code.dim == 3 and code.projections[0]]
         assert lightest_word_weights(full3, 2, limit=0) == [3] * len(full3)
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
             lightest_word_weights(stack, 2, limit=4)
         short = {code.dim: code for code in restricted_codes(F3, c, a_prime)  # empty memos
-                 if not (code.full_projections and code.dim)}
+                 if not (code.projections[0] and code.dim)}
         for order, first in (((0, 1, 3), 1), ((0, 3, 1), 9)):
             with pytest.raises(EnumerationTooLarge, match=f"^{first} candidate messages"):
                 lightest_word_weights([short[d] for d in order], 2, limit=0)
@@ -1167,6 +1167,65 @@ class TestStackedThresholdScan:
             for code in stack:
                 code.has_word_of_weight_at_most(t)
         assert counted == []
+
+
+class TestFactsFromGeneratorRows:
+    """A code is its four fields: rref, projections and the plan come from
+    gen_matrix, so a code built directly or by dataclasses.replace answers
+    as construct_code's and restricted_codes' do."""
+
+    def test_four_init_fields_and_an_empty_memo(self):
+        assert [f.name for f in dataclasses.fields(Qc15Code) if f.init] == [
+            "field", "m", "dim", "gen_matrix"]
+        code = example2()
+        assert code.min_distance().distance == 2 and code.lightest != (0, 1)
+        twin = dataclasses.replace(code)
+        assert twin.lightest == (0, 1) and not {"rref", "projections"} & set(vars(twin))
+
+    @pytest.mark.parametrize("q, m", ((3, 2), (3, 4), (3, 5), (5, 2), (5, 3)))
+    def test_general_codes_built_any_way_match_the_oracle(self, q, m):
+        # no projections, so each RREF is read from all columns: read from the
+        # copy of w and v alone, as a restricted code's is, it answers wrongly
+        field, rnd, caps = PrimeField(q), random.Random(10 * q + m), range(3 * m + 1)
+        pairs = [random_pair(rnd, field, m) for _ in range(12)]
+        built = [construct_code(a, ap) for a, ap in pairs if a.coeffs[:m] != a.coeffs[m:]]
+        built = [code for code in built if code.dim]
+        assert {code.projections for code in built} == {None} and len(built) >= 8
+        for ref in built:
+            d = distance_oracle(ref)
+            for build in (lambda: Qc15Code(field, m, ref.dim, ref.gen_matrix),
+                          lambda: dataclasses.replace(ref)):
+                assert [build().lightest_word_weight(cap) for cap in caps] == [
+                    min(d, cap + 1) for cap in caps]
+                assert [build().has_word_of_weight_at_most(t) for t in caps] == [
+                    d <= t for t in caps]
+                code = build()
+                assert code.lightest_word_weight(3 * m - 1) == min(d, 3 * m)
+                assert code.min_distance().distance == build().min_distance().distance == d
+
+    def test_mixed_stack_of_general_and_restricted_codes(self):
+        # one stack, one m: the restricted codes' RREFs are filled in from
+        # their w and v columns, the general codes' read whole
+        c, a_prime = orbit_pairs(F3, 4)
+        rnd = random.Random(4)
+        general = [construct_code(*random_pair(rnd, F3, 4)) for _ in range(20)]
+        stack = [Qc15Code(F3, 4, code.dim, code.gen_matrix)
+                 for code in restricted_codes(F3, c, a_prime) + general]
+        distances = [distance_oracle(code) for code in stack]
+        for cap in (2, 5, 8):
+            fresh = [dataclasses.replace(code) for code in stack]
+            assert lightest_word_weights(fresh, cap) == [min(d, cap + 1) for d in distances]
+
+    def test_projections_only_where_row_0_repeats_w(self):
+        # restricted pairs built directly derive restricted_codes' projections;
+        # a = c || 0 spans a general code for every c != 0
+        c, a_prime = orbit_pairs(F3, 4)
+        for ref, x, y in zip(restricted_codes(F3, c, a_prime), c.tolist(), a_prime.tolist()):
+            assert "projections" in vars(ref)
+            assert Qc15Code(F3, 4, ref.dim, ref.gen_matrix).projections == ref.projections
+            code = construct_code(RingElement(F3, 8, tuple(x + [0] * 4)),
+                                  RingElement(F3, 4, tuple(y)))
+            assert (code.projections is None) == any(x)
 
 
 class TestCodeInvariants:

@@ -378,7 +378,7 @@ class TestDistanceEvent:
         for c, a_prime, _ in chain(_pair_source(F3, 4, trials=TRIAL_BLOCK + 1, seed=3),
                                    _pair_source(F3, 4)):
             dims = [code.dim for code in codes.restricted_codes(F3, c, a_prime)
-                    if not code.full_projections]
+                    if not code.projections[0]]
             # one scan per stack and nonzero dim, in order of first appearance
             expected += [(dims.count(d), d, 3) for d in dict.fromkeys(dims) if d]
         assert scans == expected
@@ -397,17 +397,17 @@ class TestDistanceEvent:
     def test_limit_is_checked_once_per_dim_before_any_scan(self, monkeypatch):
         # at t = 2 over GF(3) a code with full projections needs no candidate,
         # and the others of dims 1, 2 and 3 count 1, 4 and 9 messages; one
-        # plan per dim and projection flag, all before any scan
+        # plan per dim and projections, all before any scan
         c, a_prime, _ = unit_orbits(F3, 4)
         built = codes.restricted_codes(F3, c, a_prime)
-        kinds = [(code.dim, code.full_projections) for code in built]
+        kinds = [(code.dim, code.projections) for code in built]
         first_seen = list(dict.fromkeys(kind for kind in kinds if kind[0]))
         assert len(first_seen) == 6
         planned, scans = [], []
         plan, scan = codes.scan_plan, codes.rref_lightest_weights
         monkeypatch.setattr(codes, "scan_plan",
-                            lambda p, dim, full, sum_zero, cap: planned.append((dim, full))
-                            or plan(p, dim, full, sum_zero, cap))
+                            lambda p, dim, projections, cap: planned.append((dim, projections))
+                            or plan(p, dim, projections, cap))
         monkeypatch.setattr(codes, "rref_lightest_weights",
                             lambda *args: scans.append(args[0].shape[1]) or scan(*args))
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
@@ -706,7 +706,7 @@ class TestRestrictedDims:
         a_prime = np.array([a_prime.coeffs for _, a_prime in pairs], dtype=np.int64)
         assert (a[:, :m] == a[:, m:]).all()  # a = c || c
         expected = [2 * m - int(generator_poly(*pair).degree) for pair in pairs]
-        assert coset_support(field, a[:, :m], a_prime)[1].tolist() == expected
+        assert coset_support(field, a[:, :m], a_prime)[0].tolist() == expected
 
 
 def assert_rows_are_sample_pair_draws(field, m, seed, start, trials):

@@ -12,11 +12,11 @@ circ(b) gives the dimension and basis of any ideal <b> of R_n
 (ensemble.ideal_basis), and codeword_blocks enumerates the words of a code or
 an ideal from its basis. Every other fact of a code is derived from its
 generator rows when first read: the monic generator and check polynomials g
-and h (g*h = X^{2m}-1, dim = deg h) from row 0, (a, a'). Restricted codes
-(row 0 repeats w: a = c || c) read their projections off the coset
-projections, a stack's dims too in the same product (restricted_codes), and
-their RREFs are computed only for the codes a threshold scan reads. A
-stack's threshold queries take one scan per RREF shape (lightest_word_weights,
+and h (g*h = X^{2m}-1, dim = deg h) from row 0, (a, a'), and the projections
+of a restricted code (row 0 repeats w: a = c || c) from the coset
+projections, which give a stack of pairs' dims too (coset_support). Threshold
+queries take one array scan over a stack of spanning rows, which a code runs
+on itself and a sweep on a stack of pairs (lightest_word_weights,
 rref_lightest_weights): two information sets for restricted codes whose w-
 and v-projections have full rank, else one weighted-pivot scan (scan_plan).
 min_distance raises the scan's cap until it answers.
@@ -234,7 +234,7 @@ class Qc15Code:
 
     @cached_property
     def rref(self) -> np.ndarray:
-        """The RREF of gen_matrix: a row scan on first read, unless a stack's scan filled it in."""
+        """The RREF of gen_matrix, a row scan on first read."""
         (rref,) = leading_independent_rows(self.gen_matrix[None], self.field.p)[1]
         rref.setflags(write=False)
         return rref
@@ -242,7 +242,7 @@ class Qc15Code:
     @cached_property
     def projections(self) -> tuple[bool, bool] | None:
         """None unless row 0 repeats w (a = c || c), else (full, sum_zero) of
-        (c, a') from coset_support; restricted_codes fills it in for its stack."""
+        (c, a') from coset_support, as the sweeps read them for their stacks."""
         row, m = self.a.coeffs + self.a_prime.coeffs, self.m  # row 0, the zero code's too
         if row[:m] != row[m : 2 * m]:
             return None
@@ -342,11 +342,13 @@ class Qc15Code:
         cap + 1 when every nonzero codeword is heavier than cap (and for the
         zero code, which has none).
 
-        The batch of one of lightest_word_weights, so a cap up to the widest
-        scanned is answered from the memo and checks no limit.
+        lightest_word_weights on the stack of this code alone, whose result
+        the memo keeps, so a cap up to the widest scanned checks no limit.
         """
         if self.dim and cap > self.lightest[0]:
-            lightest_word_weights([self], cap, limit)
+            (lightest,) = lightest_word_weights(self.field.p, self.gen_matrix[None], [self.dim],
+                                                [self.projections], cap, limit).tolist()
+            object.__setattr__(self, "lightest", (cap, lightest))
         return min(self.lightest[1], cap + 1) if self.dim else cap + 1
 
     def to_json_dict(self, distance: DistanceResult | None = None) -> dict:
@@ -374,8 +376,8 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     generator matrix is those rows. As a module the code is GF(p)[X]/(h), so
     no nonzero polynomial of degree < dim annihilates (a, a'): the kept rows
     are rows 0..dim-1, the encodings of X^0..X^{dim-1}. Every other fact is
-    derived from them when first read, so a pair a = c || c gets the code
-    restricted_codes builds for (c, a').
+    derived from them when first read, so a pair a = c || c gets the
+    dim, basis and projections the sweeps read off (c, a').
     """
     full = span_matrix(a, a_prime)  # checks the rings
     check_coprime(a_prime.n, a.field.p)
@@ -407,21 +409,6 @@ def coset_support(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> tupl
     on_c, on_a_prime = projected.reshape(2, len(c), -1, c.shape[1]).any(axis=3)
     return ((on_c | on_a_prime) @ sizes, (on_c == on_a_prime).all(axis=1),
             ~(on_c[:, 0] | on_a_prime[:, 0]))
-
-
-def restricted_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list[Qc15Code]:
-    """construct_code(c[k] || c[k], a'[k]) for each row k of the (B, m) stacks
-    c and a', from one coset_support product and no row scan: the code
-    {(w, w, v) : (w, v) in R_m (c, a')}, its dim and projections from that
-    product, gen_matrix the first dim rows of [circ(c) | circ(c) | circ(a')],
-    a basis (construct_code), and rref unread until a scan needs it."""
-    dims, full, sum_zero = coset_support(field, c, a_prime)
-    gens = np.concatenate([circulant_matrix(c)] * 2 + [circulant_matrix(a_prime)], axis=2)
-    gens.setflags(write=False)
-    built = [Qc15Code(field, c.shape[1], d, gen[:d]) for d, gen in zip(dims.tolist(), gens)]
-    for code, projections in zip(built, zip(full.tolist(), sum_zero.tolist())):
-        vars(code)["projections"] = projections  # the projections property's value
-    return built
 
 
 def scan_plan(p: int, dim: int, projections: tuple | None, cap: int) -> tuple[int, int]:
@@ -522,43 +509,39 @@ def rref_lightest_weights(rref: np.ndarray, p: int, cap: int, plans: np.ndarray)
 
 
 def lightest_word_weights(
-    codes: Sequence[Qc15Code], cap: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> list[int]:
-    """lightest_word_weight(cap, limit) of each code of a stack over one field;
-    the codes whose memo is narrower than cap are scanned, one
-    rref_lightest_weights call per RREF shape, and keep the result. Each dim and
-    projections gets one scan_plan, whose candidates the limit bounds
-    (plan_candidates); every plan is checked before any scan, and a stack of
-    memo hits checks nothing. A plan (0, 0) keeps cap + 1 with no scan. Unread
-    RREFs of restricted codes (projections not None) come from one row scan
-    per m of the w and v columns (the copy of w is equal), padded to the
-    widest dim."""
-    todo = [code for code in codes if code.dim and cap > code.lightest[0]]
-    p = todo[0].field.p if todo else 0
-    keys = [(code.dim, code.projections) for code in todo]
-    plans = {key: scan_plan(p, *key, cap) for key in dict.fromkeys(keys)}
+    p: int, spans: np.ndarray, dims: Sequence[int], projections: Sequence[tuple | None],
+    cap: int, limit: int = DEFAULT_ENUM_LIMIT,
+) -> np.ndarray:
+    """min(d_min, cap + 1) of each code i of a stack over GF(p), cap + 1 for a
+    zero code: spans[i] holds rows that span code i, its first dims[i] a
+    basis, projections[i] its (full, sum_zero), or None for a general code.
+
+    Each nonzero dim and projections gets one scan_plan, whose candidates the
+    limit bounds (plan_candidates); every plan is checked before any scan. A
+    plan (0, 0) keeps cap + 1 with no scan. The other codes take one row scan
+    of their first dims rows, a restricted code's (projections not None) of
+    the copy of w and v alone, as column j + m repeats column j, and then
+    one rref_lightest_weights call per dim."""
+    dims, m = np.asarray(dims), spans.shape[2] // 3
+    keys = list(zip(dims.tolist(), projections))
+    plans = {key: scan_plan(p, *key, cap) for key in dict.fromkeys(keys) if key[0]}
     for (dim, _), plan in plans.items():
         check_limit(plan_candidates(p, dim, plan), "candidate messages", limit)
-    for code, key in zip(todo, keys):  # plan (0, 0): every nonzero word is heavier than cap
-        if plans[key] == (0, 0):
-            object.__setattr__(code, "lightest", (cap, cap + 1))
-    todo = [(code, plans[key]) for code, key in zip(todo, keys) if plans[key] != (0, 0)]
-    unread = [code for code, _ in todo if code.projections and "rref" not in vars(code)]
-    for m in dict.fromkeys(code.m for code in unread):
-        same = [code for code in unread if code.m == m]
-        stack = np.zeros((len(same), max(code.dim for code in same), 2 * m), dtype=np.int64)
-        for rows, code in zip(stack, same):
-            rows[: code.dim] = code.gen_matrix[:, m:]  # the copy of w, then v
-        rrefs = leading_independent_rows(stack, p)[1][:, :, np.r_[:m, :2 * m]]
-        rrefs.setflags(write=False)
-        for code, rref in zip(same, rrefs):
-            vars(code)["rref"] = rref[: code.dim]
-    for shape in dict.fromkeys((code.dim, code.m) for code, _ in todo):
-        same = [(code, plan) for code, plan in todo if (code.dim, code.m) == shape]
-        rrefs, chosen = np.stack([code.rref for code, _ in same]), np.array([x for _, x in same])
-        for (code, _), lightest in zip(same, rref_lightest_weights(rrefs, p, cap, chosen).tolist()):
-            object.__setattr__(code, "lightest", (cap, lightest))
-    return [min(code.lightest[1], cap + 1) if code.dim else cap + 1 for code in codes]
+    chosen = np.array([plans.get(key, (0, 0)) for key in keys]).reshape(-1, 2)
+    best, scan = np.full(len(dims), cap + 1), np.flatnonzero(chosen.any(axis=1))
+    if not len(scan):
+        return best
+    restricted = np.array([projections[i] is not None for i in scan])
+    lo = m * restricted.all()  # a stack of restricted codes scans 2m columns
+    work = spans[scan, : dims[scan].max(), lo:]
+    work[restricted, :, : m - lo] = 0  # a restricted code's w: its copy is reduced instead
+    rrefs = np.zeros(work.shape[:2] + (3 * m,), dtype=np.int64)
+    rrefs[:, :, lo:] = leading_independent_rows(work, p)[1]
+    rrefs[restricted, :, :m] = rrefs[restricted, :, m : 2 * m]
+    for dim in dict.fromkeys(dims[scan].tolist()):
+        same = dims[scan] == dim
+        best[scan[same]] = rref_lightest_weights(rrefs[same, :dim], p, cap, chosen[scan[same]])
+    return best
 
 
 # -- message enumeration helpers --------------------------------------------------

@@ -23,10 +23,11 @@ Experiments
 Every experiment runs one event over one pair source of stacks of at most
 TRIAL_BLOCK rows of c and of a', each standing for its orbit class or, as a
 seeded sample, for itself. An event answers a stack with one bool column per
-report row: the distance event at each threshold, which builds a stack's
-codes at once and scans them together once for all thresholds, or dim = m - 1
-(coset_support, no code). One tally weights the answers by the sizes and
-counts zero codes; one builder makes an EnsembleReport of each row's counts.
+report row: the distance event at each threshold, which reads a stack's
+codes as arrays and scans them together once for all thresholds, or dim =
+m - 1 (coset_support); neither builds a code object. One tally weights the
+answers by the sizes and counts zero codes; one builder makes an
+EnsembleReport of each row's counts.
 
 The orbits: (c, a') and (u c, u a') span the same code for every unit u of
 R_m. On a nonzero cyclotomic coset of size d the pair's component (c e_C,
@@ -87,7 +88,6 @@ from .codes import (
     coset_support,
     leading_independent_rows,
     lightest_word_weights,
-    restricted_codes,
 )
 from .errors import DomainError, EmptyTrialSet
 
@@ -489,16 +489,18 @@ def _tally(pairs: Pairs, event: Event, rows: int) -> tuple[int, list[int], int]:
 
 def _distance_event(field: PrimeField, ts: Sequence[int], limit: int) -> Event:
     """Per threshold t in ts: some nonzero word has weight <= t; never true
-    of the zero code. A stack's codes are built by one restricted_codes call
-    and scanned at once at the widest t with 1 <= t < 3m (no other t needs a
-    scan), so each code answers every t from its memo."""
+    of the zero code. A stack's codes (c || c, a') are read as arrays, dims
+    and projections from coset_support and spanning rows [circ(c) | circ(c) |
+    circ(a')], and scanned at once at the widest t with 1 <= t < 3m: every
+    nonzero word weighs 1 to 3m, so no other t needs a scan."""
 
     def event(c: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-        codes = restricted_codes(field, c, a_prime)
+        dims, full, sum_zero = coset_support(field, c, a_prime)
+        spans = np.concatenate([circulant_matrix(c)] * 2 + [circulant_matrix(a_prime)], axis=2)
+        projections = list(zip(full.tolist(), sum_zero.tolist()))
         widest = max((t for t in ts if 1 <= t < 3 * c.shape[1]), default=0)
-        lightest_word_weights(codes, widest, limit)  # cap 0 scans nothing
-        return np.array([[code.has_word_of_weight_at_most(t, limit) for t in ts]
-                         for code in codes], dtype=bool).reshape(len(c), len(ts))
+        lightest = lightest_word_weights(field.p, spans, dims, projections, widest, limit)
+        return (lightest[:, None] <= np.array(ts)) & (dims > 0)[:, None]
 
     return event
 

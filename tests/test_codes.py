@@ -22,12 +22,12 @@ from qc15.codes import (
     check_poly,
     circulant_matrix,
     construct_code,
+    coset_support,
     generator_poly,
     gf_matmul,
     gf_rref,
     leading_independent_rows,
     lightest_word_weights,
-    restricted_codes,
     rref_lightest_weights,
     scan_plan,
     span_matrix,
@@ -472,6 +472,37 @@ def span_stack(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> np.ndar
     ])
 
 
+def restricted_stack(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> tuple:
+    """The sweeps' arrays for the codes (c[k] || c[k], a'[k]): spanning rows
+    [circ(c) | circ(c) | circ(a')], and dims and projections from coset_support."""
+    dims, full, sum_zero = coset_support(field, c, a_prime)
+    spans = np.concatenate([circulant_matrix(c)] * 2 + [circulant_matrix(a_prime)], axis=2)
+    return spans, dims, list(zip(full.tolist(), sum_zero.tolist()))
+
+
+def pick(arrays: tuple, index) -> tuple:
+    """The arrays of restricted_stack for the codes in index, in its order."""
+    spans, dims, projections = arrays
+    return spans[index], dims[index], [projections[i] for i in index]
+
+
+def pair_codes(field: PrimeField, c: np.ndarray, a_prime: np.ndarray) -> list[Qc15Code]:
+    """construct_code(c[k] || c[k], a'[k]) for each row k."""
+    m = c.shape[1]
+    return [construct_code(RingElement(field, 2 * m, tuple(x + x)), RingElement(field, m, tuple(y)))
+            for x, y in zip(c.tolist(), a_prime.tolist())]
+
+
+def stack_of(built: list[Qc15Code]) -> tuple:
+    """lightest_word_weights' first four arguments for codes of one field and
+    length: their generator rows, zero-padded to the widest dim."""
+    spans = np.zeros((len(built), max(code.dim for code in built), 3 * built[0].m), dtype=np.int64)
+    for rows, code in zip(spans, built):
+        rows[: code.dim] = code.gen_matrix
+    dims, projections = [code.dim for code in built], [code.projections for code in built]
+    return built[0].field.p, spans, dims, projections
+
+
 def short_w_projections(field: PrimeField, c: np.ndarray) -> np.ndarray:
     """c with every other row multiplied by the idempotent of its last
     cyclotomic coset, so that its w-projection spans one coset only."""
@@ -494,7 +525,7 @@ def sampled_pairs(field: PrimeField, m: int, seed: int) -> tuple[np.ndarray, np.
 
 
 class TestStackedScan:
-    """leading_independent_rows on (B, R, C) stacks and restricted_codes,
+    """leading_independent_rows on (B, R, C) stacks, and the sweeps' arrays,
     against gauss_jordan and the rank one matrix at a time."""
 
     def assert_scan_matches_gauss_jordan(self, stack: np.ndarray, p: int) -> np.ndarray:
@@ -508,16 +539,22 @@ class TestStackedScan:
         return dims
 
     def assert_codes_match(self, field: PrimeField, c: np.ndarray, a_prime: np.ndarray):
-        spans = span_stack(field, c, a_prime)
-        built = restricted_codes(field, c, a_prime)
-        assert len(built) == len(c)
-        for code, x, y, span in zip(built, c.tolist(), a_prime.tolist(), spans):
+        # the sweeps' arrays describe construct_code's code for c || c: its
+        # dim, generator matrix (the first dim spanning rows) and projections
+        spans, dims, projections = restricted_stack(field, c, a_prime)
+        built = pair_codes(field, c, a_prime)
+        assert len(built) == len(spans) == len(c)
+        for code, x, y, span, rows, dim, facts in zip(
+                built, c.tolist(), a_prime.tolist(), span_stack(field, c, a_prime), spans,
+                dims.tolist(), projections):
             a = RingElement(field, 2 * len(x), tuple(x + x))
             ap = RingElement(field, len(y), tuple(y))
             # a and a' are read back from row 0 of gen_matrix, the zero code's too
             assert (code.a, code.a_prime) == (a, ap)
-            assert code.dim == rank(span, field.p)
-            assert np.array_equal(code.gen_matrix, span[: code.dim])
+            assert code.dim == dim == rank(span, field.p)
+            assert np.array_equal(code.gen_matrix, span[:dim])
+            assert np.array_equal(code.gen_matrix, rows[:dim])
+            assert code.projections == facts
             assert code.rref.tolist() == gauss_jordan(span, field.p)
 
     @pytest.mark.parametrize("m", (1, 2, 4, 5, 7))
@@ -529,25 +566,26 @@ class TestStackedScan:
     @pytest.mark.parametrize("q, m", [(3, m) for m in (1, 2, 4, 5, 7, 8)]
                              + [(5, m) for m in range(1, 5)] + [(7, m) for m in range(1, 4)])
     def test_dims_and_lazy_rrefs_on_every_unit_orbit(self, q, m):
-        # dims from the coset support, and RREFs filled in by the threshold
-        # scan: at cap 6 it scans every nonzero code, with one row scan of
-        # their w and v columns padded to the widest dim (the RREFs read one
-        # code at a time are checked by assert_codes_match)
-        field, shapes = PrimeField(q), []
+        # dims from the coset support, and RREFs from the threshold scan: at
+        # cap 6 it scans every nonzero code, with one row scan of their copy
+        # of w and v, to the widest dim, then one rref_lightest_weights call
+        # per dim, in order of first appearance
+        field, shapes, scanned = PrimeField(q), [], []
         c, a_prime = orbit_pairs(field, m)
         expected = [gauss_jordan(span, q) for span in span_stack(field, c, a_prime)]
-        real = codes.leading_independent_rows
+        spans, dims, projections = restricted_stack(field, c, a_prime)
+        assert dims.tolist() == list(map(len, expected))
+        rows, scan = codes.leading_independent_rows, codes.rref_lightest_weights
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codes, "leading_independent_rows",
-                          lambda mat, p: shapes.append(mat.shape) or real(mat, p))
-            built = restricted_codes(field, c, a_prime)
-            assert shapes == []
-            lightest_word_weights(built, 6)
-        assert [code.dim for code in built] == list(map(len, expected))
-        nonzero = [code.dim for code in built if code.dim]
+                          lambda mat, p: shapes.append(mat.shape) or rows(mat, p))
+            patch.setattr(codes, "rref_lightest_weights",
+                          lambda rref, *args: scanned.append(rref.tolist()) or scan(rref, *args))
+            lightest_word_weights(q, spans, dims, projections, 6)
+        nonzero = [dim for dim in dims.tolist() if dim]
         assert shapes == ([(len(nonzero), max(nonzero), 2 * m)] if nonzero else [])
-        assert [("rref" in vars(code)) for code in built] == [bool(code.dim) for code in built]
-        assert [code.rref.tolist() for code in built] == expected
+        assert scanned == [[rref for rref in expected if len(rref) == dim]
+                           for dim in dict.fromkeys(nonzero)]
 
     def test_every_restricted_pair_q3_m4_as_one_stack(self):
         left, right = restricted_elements(F3, 4)
@@ -587,10 +625,10 @@ class TestStackedScan:
             return real(mat, p)
 
         # one code per unit orbit's code up to the multipliers X -> X^s; the
-        # codes are built with no row scan, and at t = 6 every class but the
-        # zero code's is scanned, so its RREF is filled in once
-        classes = multiplier_class_count(
-            [code.rref for code in restricted_codes(F3, *orbit_pairs(F3, 7))], 7, 3)
+        # codes are read with no row scan, and at t = 6 every class but the
+        # zero code's is scanned, so its RREF is computed once
+        spans, dims, _ = restricted_stack(F3, *orbit_pairs(F3, 7))
+        classes = multiplier_class_count([rows[:dim] for rows, dim in zip(spans, dims)], 7, 3)
         monkeypatch.setattr(codes, "leading_independent_rows", record)
         exact_delta_leq_probs(F3, 7, ["0.106", "0.3"])
         assert sum(stacks) == classes - 1 == 131
@@ -731,19 +769,19 @@ class TestEnumerateAndDistance:
 
     @pytest.mark.parametrize("q, m", ((3, 4), (3, 5)))
     def test_distance_on_every_unit_orbit(self, q, m):
-        # construct_code builds restricted_codes' code for a = c || c: the
-        # same dim, generator matrix and projections, so the same plan at
-        # every cap, with projections derived from its row 0
+        # construct_code builds the code the sweeps read off (c, a') for
+        # a = c || c: the same dim, generator matrix and projections, so the
+        # same plan at every cap, with projections derived from its row 0
         field = PrimeField(q)
         c, a_prime = orbit_pairs(field, m)
-        for ref, x, y in zip(restricted_codes(field, c, a_prime), c.tolist(), a_prime.tolist()):
-            code = construct_code(RingElement(field, 2 * m, tuple(x + x)),
-                                  RingElement(field, m, tuple(y)))
+        spans, dims, projections = restricted_stack(field, c, a_prime)
+        for code, rows, dim, facts in zip(pair_codes(field, c, a_prime), spans, dims.tolist(),
+                                          projections):
             assert "projections" not in vars(code)
-            assert (code.dim, code.projections) == (ref.dim, ref.projections)
-            assert np.array_equal(code.gen_matrix, ref.gen_matrix)
+            assert (code.dim, code.projections) == (dim, facts)
+            assert np.array_equal(code.gen_matrix, rows[:dim])
             assert [scan_plan(q, code.dim, code.projections, cap) for cap in range(3 * m + 1)] == [
-                scan_plan(q, ref.dim, ref.projections, cap) for cap in range(3 * m + 1)]
+                scan_plan(q, dim, facts, cap) for cap in range(3 * m + 1)]
             if code.dim:
                 assert code.min_distance().distance == min_distance(code.gen_matrix, q)
 
@@ -919,22 +957,26 @@ class TestStackedThresholdScan:
     """lightest_word_weights on whole stacks against min(d_min, cap + 1)."""
 
     def assert_matches_oracle(self, field, c, a_prime, caps) -> tuple[list[Qc15Code], set]:
-        """The scan against the oracle at each cap, and projections against the
-        projection ranks and coefficient sums; returns the codes and the second
-        bounds b of the plans that ran (-1: the weighted scan alone, see scan_plan)."""
-        built = restricted_codes(field, c, a_prime)
+        """The array scan of the sweeps' arrays against the oracle at each cap,
+        and each code's own query, a scan at the widest cap and memo hits
+        below it; projections against the projection ranks and coefficient
+        sums. Returns the codes and the second bounds b of the plans that ran
+        (-1: the weighted scan alone, see scan_plan)."""
+        spans, dims, projections = restricted_stack(field, c, a_prime)
+        built = pair_codes(field, c, a_prime)
         distances = [distance_oracle(code) for code in built]
         for cap in caps:
-            stack = restricted_codes(field, c, a_prime)  # empty memos
-            expected = [min(d, cap + 1) for d in distances]
-            assert lightest_word_weights(stack, cap) == expected
-            assert [code.lightest_word_weight(cap) for code in stack] == expected
+            assert lightest_word_weights(field.p, spans, dims, projections, cap).tolist() == [
+                min(d, cap + 1) for d in distances]
+        for cap in sorted(caps, reverse=True):
+            assert [code.lightest_word_weight(cap) for code in built] == [
+                min(d, cap + 1) for d in distances]
         ranks = projection_ranks(field, c, a_prime)
-        assert [code.projections for code in built] == [
-            (w == v == code.dim, not (sum(x) % field.p or sum(y) % field.p))
-            for code, (w, v), x, y in zip(built, ranks, c.tolist(), a_prime.tolist())]
-        bs = {scan_plan(field.p, code.dim, code.projections, cap)[1]
-              for code in built if code.dim for cap in caps if cap}
+        assert [code.projections for code in built] == projections == [
+            (w == v == dim, not (sum(x) % field.p or sum(y) % field.p))
+            for dim, (w, v), x, y in zip(dims.tolist(), ranks, c.tolist(), a_prime.tolist())]
+        bs = {scan_plan(field.p, dim, facts, cap)[1]
+              for dim, facts in zip(dims.tolist(), projections) if dim for cap in caps if cap}
         return built, bs
 
     def test_every_restricted_pair_q3_m4_as_one_stack_at_every_cap(self):
@@ -1005,8 +1047,8 @@ class TestStackedThresholdScan:
         c, a_prime = gf_matmul(c, e, p), gf_matmul(a_prime, e, p)
         c[::2], a_prime[::2] = (c[::2] + 1) % p, (a_prime[::2] + 1) % p
         c[::7], a_prime[3::7] = 0, 0
-        keep = [code.projections[0] or code.dim < 2
-                for code in restricted_codes(field, c, a_prime)]
+        _, dims, projections = restricted_stack(field, c, a_prime)
+        keep = [full or dim < 2 for dim, (full, _) in zip(dims.tolist(), projections)]
         c, a_prime = c[keep], a_prime[keep]
         vforms = []
         real = codes.leading_independent_rows
@@ -1018,21 +1060,23 @@ class TestStackedThresholdScan:
 
     def test_oracle_codes_one_stack_per_field(self):
         # unrestricted pairs (mult 1), non-unit multiples of a pivot column
-        # (p = 1009) and codes of two lengths in one stack; each cap rescans
+        # (p = 1009), general and restricted codes of several dims in one
+        # stack per field and length; each cap rescans
         stacks = {}
         for code in scan_oracle_codes():
-            stacks.setdefault(code.field, []).append(code)
+            stacks.setdefault((code.field, code.m), []).append(code)
         for stack in stacks.values():
             distances = [distance_oracle(code) for code in stack]
             for cap in (1, 2, 4, 7):
-                assert lightest_word_weights(stack, cap) == [min(d, cap + 1) for d in distances]
+                assert lightest_word_weights(*stack_of(stack), cap).tolist() == [
+                    min(d, cap + 1) for d in distances]
 
     def test_group_without_a_non_single_column(self, monkeypatch):
         # a dim-1 code of full support at m = 2 has one row and every column
         # single: under plan (cap, -1) the weighted scan counts every column,
         # so its group's product has width 0
         c, a_prime = np.array([[1, 2], [2, 1], [1, 2]]), np.array([[1, 2], [1, 2], [2, 1]])
-        stack = restricted_codes(F3, c, a_prime)
+        stack = pair_codes(F3, c, a_prime)
         assert [distance_oracle(code) for code in stack] == [6, 6, 6]
         widths = []
         real = codes.gf_matmul
@@ -1047,7 +1091,7 @@ class TestStackedThresholdScan:
         # every column single and width 0, then zero on w (width 4) and zero
         # on v (width 2); one call of the weighted scan over every column
         c, a_prime = np.array([[1, 2], [0, 0], [1, 1]]), np.array([[1, 2], [1, 2], [0, 0]])
-        stack = restricted_codes(F3, c, a_prime)
+        stack = pair_codes(F3, c, a_prime)
         distances = [distance_oracle(code) for code in stack]
         assert distances == [6, 2, 4]
         widths = []
@@ -1066,9 +1110,11 @@ class TestStackedThresholdScan:
         # plan (0, 0): in (X-1)R_m every nonzero word weighs at least 4 on w
         # and its copy and 2 on v; at cap 6 the codes of weight 6 are scanned
         c, a_prime = orbit_pairs(F3, 5)
-        keep = [code.projections[0] and code.dim > 0 for code in restricted_codes(F3, c, a_prime)]
+        _, dims, projections = restricted_stack(F3, c, a_prime)
+        keep = [full and dim > 0 for dim, (full, _) in zip(dims.tolist(), projections)]
         c, a_prime = c[keep], a_prime[keep]
-        distances = [distance_oracle(code) for code in restricted_codes(F3, c, a_prime)]
+        arrays = restricted_stack(F3, c, a_prime)
+        distances = [distance_oracle(code) for code in pair_codes(F3, c, a_prime)]
         assert len(distances) > 10
         scans = []
         real = codes._weighted_scan
@@ -1076,32 +1122,35 @@ class TestStackedThresholdScan:
                             lambda rref, *args: scans.append(len(rref)) or real(rref, *args))
         assert min(distances) == 6
         for cap in range(1, 7):
-            stack = restricted_codes(F3, c, a_prime)
-            assert lightest_word_weights(stack, cap) == [min(d, cap + 1) for d in distances]
-            assert all(code.lightest == (cap, min(d, cap + 1))
-                       for code, d in zip(stack, distances))
+            expected = [min(d, cap + 1) for d in distances]
+            assert lightest_word_weights(3, *arrays, cap).tolist() == expected
+            fresh = pair_codes(F3, c, a_prime)
+            assert [code.lightest_word_weight(cap) for code in fresh] == expected
+            assert [code.lightest for code in fresh] == [(cap, e) for e in expected]
             assert (sum(scans) > 0) == (cap == 6)
 
     def test_blocks_of_one_entry(self, monkeypatch):
         c, a_prime = (x[::4] for x in orbit_pairs(F3, 7))
-        distances = [distance_oracle(code) for code in restricted_codes(F3, c, a_prime)]
+        arrays = restricted_stack(F3, c, a_prime)
+        distances = [distance_oracle(code) for code in pair_codes(F3, c, a_prime)]
         monkeypatch.setattr(codes, "PRODUCT_BLOCK", 1)
         for cap in (2, 5, 9):
-            stack = restricted_codes(F3, c, a_prime)
-            assert lightest_word_weights(stack, cap) == [min(d, cap + 1) for d in distances]
+            assert lightest_word_weights(3, *arrays, cap).tolist() == [
+                min(d, cap + 1) for d in distances]
 
     def test_every_product_stays_within_product_block(self, monkeypatch):
         # larger products run on several BLAS threads, which spin on after
         # the call, and their arrays pass the 128 KiB allocation threshold;
-        # the stacked scan's products, then the 3^10 words of a dim-10 code
+        # the sweeps' dims, the stacked scan's products, then the 3^10 words
+        # of a dim-10 code
         sizes = []
         real = codes.gf_matmul
         monkeypatch.setattr(codes, "gf_matmul",
                             lambda a, b, p: sizes.append(len(a) * b.shape[1]) or real(a, b, p))
         c, a_prime, _ = _sample_block(F3, 11, 7, 0, TRIAL_BLOCK)
-        stack = restricted_codes(F3, c, a_prime)
-        lightest_word_weights(stack, 9)
-        list(codes.codeword_blocks(next(code for code in stack if code.dim == 10).gen_matrix, 3))
+        spans, dims, projections = restricted_stack(F3, c, a_prime)
+        lightest_word_weights(3, spans, dims, projections, 9)
+        list(codes.codeword_blocks(spans[dims.tolist().index(10), :10], 3))
         assert len(sizes) > 100 and max(sizes) <= codes.PRODUCT_BLOCK
 
     def test_limit_is_checked_once_per_dim_for_the_first_code_over_it(self, monkeypatch):
@@ -1110,55 +1159,71 @@ class TestStackedThresholdScan:
         # the others count the messages of plain weight <= 2 over GF(3): 1, 4
         # and 9 at dims 1, 2 and 3
         c, a_prime = orbit_pairs(F3, 4)
-        stack = restricted_codes(F3, c, a_prime)
-        kinds = [(code.dim, code.projections[0]) for code in stack if code.dim]
+        arrays = spans, dims, projections = restricted_stack(F3, c, a_prime)
+        kinds = [(dim, full) for dim, (full, _) in zip(dims.tolist(), projections) if dim]
         assert set(kinds) == {(d, f) for d in (1, 2, 3) for f in (True, False)}
+        distances = [distance_oracle(code) for code in pair_codes(F3, c, a_prime)]
         planned = []
         real = codes.scan_plan
         monkeypatch.setattr(codes, "scan_plan",
                             lambda p, dim, projections, cap: planned.append((dim, projections))
                             or real(p, dim, projections, cap))
-        low = [code for code in stack if code.dim < 3]
-        assert lightest_word_weights(low, 2, limit=4) == [
-            min(distance_oracle(code), 3) for code in low]
+        low = np.flatnonzero(dims < 3)
+        assert lightest_word_weights(3, *pick(arrays, low), 2, limit=4).tolist() == [
+            min(distances[i], 3) for i in low]
         # a zero code is never scanned, so its dim is not planned
-        assert planned == list(dict.fromkeys((code.dim, code.projections)
-                                             for code in low if code.dim))
-        full3 = [code for code in restricted_codes(F3, c, a_prime)
-                 if code.dim == 3 and code.projections[0]]
-        assert lightest_word_weights(full3, 2, limit=0) == [3] * len(full3)
+        assert planned == list(dict.fromkeys((dims[i], projections[i]) for i in low if dims[i]))
+        full3 = [i for i, dim in enumerate(dims.tolist()) if dim == 3 and projections[i][0]]
+        assert lightest_word_weights(3, *pick(arrays, full3), 2, limit=0).tolist() == [3] * len(
+            full3)
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
-            lightest_word_weights(stack, 2, limit=4)
-        short = {code.dim: code for code in restricted_codes(F3, c, a_prime)  # empty memos
-                 if not (code.projections[0] and code.dim)}
+            lightest_word_weights(3, *arrays, 2, limit=4)
+        short = {dim: i for i, dim in enumerate(dims.tolist()) if not (projections[i][0] and dim)}
         for order, first in (((0, 1, 3), 1), ((0, 3, 1), 9)):
             with pytest.raises(EnumerationTooLarge, match=f"^{first} candidate messages"):
-                lightest_word_weights([short[d] for d in order], 2, limit=0)
+                lightest_word_weights(3, *pick(arrays, [short[d] for d in order]), 2, limit=0)
+
+    def test_every_plan_is_checked_before_the_row_scan(self, monkeypatch):
+        # the dim-3 codes come last and need 9 candidates where the limit is
+        # 4: the codes before them are neither row-reduced nor scanned
+        c, a_prime = orbit_pairs(F3, 4)
+        arrays = restricted_stack(F3, c, a_prime)
+        by_dim = np.argsort(arrays[1], kind="stable")
+
+        def no_scan(*args):
+            raise AssertionError("scanned before the limit check")
+
+        monkeypatch.setattr(codes, "leading_independent_rows", no_scan)
+        monkeypatch.setattr(codes, "rref_lightest_weights", no_scan)
+        with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
+            lightest_word_weights(3, *pick(arrays, by_dim), 2, limit=4)
 
     def test_narrower_cap_after_a_stacked_call_runs_no_scan(self, monkeypatch):
+        # each code keeps its widest scan, which equals the stack's
         c, a_prime = orbit_pairs(F3, 5)
-        stack = restricted_codes(F3, c, a_prime)
-        widest = lightest_word_weights(stack, 8)
+        stack = pair_codes(F3, c, a_prime)
+        widest = [code.lightest_word_weight(8) for code in stack]
+        assert widest == lightest_word_weights(3, *restricted_stack(F3, c, a_prime), 8).tolist()
         assert all(code.lightest[0] == 8 for code in stack if code.dim)
 
         def no_scan(*args):
             raise AssertionError("scanned again")
 
-        monkeypatch.setattr(codes, "low_weight_messages", no_scan)
-        monkeypatch.setattr(codes, "gf_matmul", no_scan)
+        for name in ("low_weight_messages", "gf_matmul", "leading_independent_rows"):
+            monkeypatch.setattr(codes, name, no_scan)
         for cap in (8, 5, 1, 0):
-            expected = [min(w, cap + 1) for w in widest]
-            assert lightest_word_weights(stack, cap) == expected
-            assert [code.lightest_word_weight(cap) for code in stack] == expected
+            assert [code.lightest_word_weight(cap) for code in stack] == [
+                min(w, cap + 1) for w in widest]
         # memo hits scan nothing, so no limit stops them
-        assert lightest_word_weights(stack, 8, limit=0) == widest
+        assert [code.lightest_word_weight(8, limit=0) for code in stack] == widest
         assert [code.lightest_word_weight(5, limit=0) for code in stack] == [
             min(w, 6) for w in widest]
 
     def test_memo_hits_count_no_candidates(self, monkeypatch):
         c, a_prime = orbit_pairs(F3, 5)
-        stack = restricted_codes(F3, c, a_prime)
-        lightest_word_weights(stack, 8)
+        stack = pair_codes(F3, c, a_prime)
+        for code in stack:
+            code.lightest_word_weight(8)
         counted = []
         real = codes.low_weight_message_count
         monkeypatch.setattr(codes, "low_weight_message_count",
@@ -1172,7 +1237,7 @@ class TestStackedThresholdScan:
 class TestFactsFromGeneratorRows:
     """A code is its four fields: rref, projections and the plan come from
     gen_matrix, so a code built directly or by dataclasses.replace answers
-    as construct_code's and restricted_codes' do."""
+    as construct_code's does, and as the sweeps' arrays do."""
 
     def test_four_init_fields_and_an_empty_memo(self):
         assert [f.name for f in dataclasses.fields(Qc15Code) if f.init] == [
@@ -1203,26 +1268,36 @@ class TestFactsFromGeneratorRows:
                 assert code.lightest_word_weight(3 * m - 1) == min(d, 3 * m)
                 assert code.min_distance().distance == build().min_distance().distance == d
 
-    def test_mixed_stack_of_general_and_restricted_codes(self):
-        # one stack, one m: the restricted codes' RREFs are filled in from
-        # their w and v columns, the general codes' read whole
+    def test_mixed_stack_of_general_and_restricted_codes(self, monkeypatch):
+        # one stack, one m, one row scan of all 3m columns: the restricted
+        # codes' w columns are left out of it and copied back, the general
+        # codes' read whole
         c, a_prime = orbit_pairs(F3, 4)
         rnd = random.Random(4)
         general = [construct_code(*random_pair(rnd, F3, 4)) for _ in range(20)]
-        stack = [Qc15Code(F3, 4, code.dim, code.gen_matrix)
-                 for code in restricted_codes(F3, c, a_prime) + general]
+        stack = pair_codes(F3, c, a_prime) + general
+        assert {code.projections is None for code in stack} == {True, False}
         distances = [distance_oracle(code) for code in stack]
+        shapes = []
+        real = codes.leading_independent_rows
+        monkeypatch.setattr(codes, "leading_independent_rows",
+                            lambda mat, p: shapes.append(mat.shape) or real(mat, p))
         for cap in (2, 5, 8):
-            fresh = [dataclasses.replace(code) for code in stack]
-            assert lightest_word_weights(fresh, cap) == [min(d, cap + 1) for d in distances]
+            shapes.clear()
+            assert lightest_word_weights(*stack_of(stack), cap).tolist() == [
+                min(d, cap + 1) for d in distances]
+            scanned = [code.dim for code in stack if code.dim
+                       and scan_plan(3, code.dim, code.projections, cap) != (0, 0)]
+            assert shapes[0] == (len(scanned), max(scanned), 12)
 
     def test_projections_only_where_row_0_repeats_w(self):
-        # restricted pairs built directly derive restricted_codes' projections;
-        # a = c || 0 spans a general code for every c != 0
+        # restricted pairs built directly derive the projections the sweeps
+        # read off (c, a'); a = c || 0 spans a general code for every c != 0
         c, a_prime = orbit_pairs(F3, 4)
-        for ref, x, y in zip(restricted_codes(F3, c, a_prime), c.tolist(), a_prime.tolist()):
-            assert "projections" in vars(ref)
-            assert Qc15Code(F3, 4, ref.dim, ref.gen_matrix).projections == ref.projections
+        spans, dims, projections = restricted_stack(F3, c, a_prime)
+        for rows, dim, facts, x, y in zip(spans, dims.tolist(), projections, c.tolist(),
+                                          a_prime.tolist()):
+            assert Qc15Code(F3, 4, dim, rows[:dim]).projections == facts
             code = construct_code(RingElement(F3, 8, tuple(x + [0] * 4)),
                                   RingElement(F3, 4, tuple(y)))
             assert (code.projections is None) == any(x)

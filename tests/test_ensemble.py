@@ -377,8 +377,8 @@ class TestDistanceEvent:
         expected = []
         for c, a_prime, _ in chain(_pair_source(F3, 4, trials=TRIAL_BLOCK + 1, seed=3),
                                    _pair_source(F3, 4)):
-            dims = [code.dim for code in codes.restricted_codes(F3, c, a_prime)
-                    if not code.projections[0]]
+            dims, full, _ = coset_support(F3, c, a_prime)
+            dims = [dim for dim, f in zip(dims.tolist(), full.tolist()) if not f]
             # one scan per stack and nonzero dim, in order of first appearance
             expected += [(dims.count(d), d, 3) for d in dict.fromkeys(dims) if d]
         assert scans == expected
@@ -399,8 +399,8 @@ class TestDistanceEvent:
         # and the others of dims 1, 2 and 3 count 1, 4 and 9 messages; one
         # plan per dim and projections, all before any scan
         c, a_prime, _ = unit_orbits(F3, 4)
-        built = codes.restricted_codes(F3, c, a_prime)
-        kinds = [(code.dim, code.projections) for code in built]
+        dims, full, sum_zero = coset_support(F3, c, a_prime)
+        kinds = list(zip(dims.tolist(), zip(full.tolist(), sum_zero.tolist())))
         first_seen = list(dict.fromkeys(kind for kind in kinds if kind[0]))
         assert len(first_seen) == 6
         planned, scans = [], []
@@ -417,14 +417,30 @@ class TestDistanceEvent:
         ensemble._distance_event(F3, [0, 2, 12], 9)(c, a_prime)
         assert planned == first_seen and sorted(scans) == [1, 2, 3]
 
-    def test_every_answer_comes_from_the_per_code_query(self, monkeypatch):
-        # a refactor that answered the event without asking each code would
-        # leave these counts at their true values
-        monkeypatch.setattr(codes.Qc15Code, "has_word_of_weight_at_most",
-                            lambda self, max_weight, limit=None: False)
+    def test_every_answer_comes_from_the_array_scan(self, monkeypatch):
+        # an array scan that finds no word at all, not even of weight 3m: a
+        # sweep that answered the event without it would leave these counts
+        # at their true values
+        monkeypatch.setattr(ensemble, "lightest_word_weights",
+                            lambda p, spans, dims, *args: np.full(len(dims), spans.shape[2] + 1))
         for rep in mc_delta_probs(F3, 5, ["0.106", "0.3"], 100, seed=42):
             assert rep.hits == rep.trials
         assert [rep.hits for rep in exact_delta_leq_probs(F3, 4, ["0.3", "1"])] == [0, 0]
+
+    def test_sweeps_build_no_code(self, monkeypatch):
+        # the event answers from the stack's arrays: no Qc15Code per pair
+        deltas = ["0.106", "0.3", "1"]
+        expected = [[r.hits for r in mc_delta_probs(F3, 5, deltas, 100, seed=42)],
+                    [r.hits for r in exact_delta_leq_probs(F3, 5, deltas)]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep built a Qc15Code")
+
+        monkeypatch.setattr(codes.Qc15Code, "__init__", refuse)
+        assert [[r.hits for r in mc_delta_probs(F3, 5, deltas, 100, seed=42)],
+                [r.hits for r in exact_delta_leq_probs(F3, 5, deltas)]] == expected
+        with pytest.raises(AssertionError, match="built a Qc15Code"):
+            construct_code(*sample_pair(F3, 5, trial_rng(42, 0)))
 
     def test_a_broken_scan_changes_the_sweeps(self, monkeypatch):
         # a scan that finds no light word makes every trial at t < 3m a hit and
@@ -551,9 +567,11 @@ class TestMultiplierClasses:
         # the orbits span every code once (TestUnitOrbits); count those codes
         # up to X -> X^s by brute force
         field = PrimeField(q)
-        built = codes.restricted_codes(field, *unit_orbits(field, m)[:2])
+        c, a_prime, _ = unit_orbits(field, m)
+        dims = coset_support(field, c, a_prime)[0]
+        spans = np.concatenate([circulant_matrix(c)] * 2 + [circulant_matrix(a_prime)], axis=2)
         assert len(multiplier_classes(field, m)[2]) == multiplier_class_count(
-            [code.rref for code in built], m, q)
+            [rows[:dim] for rows, dim in zip(spans, dims)], m, q)
 
     @pytest.mark.parametrize("block", (1, 7))
     @pytest.mark.parametrize("q, m", ((3, 1), (3, 7), (5, 4), (7, 3)))

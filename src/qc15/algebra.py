@@ -335,9 +335,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def weight(self) -> int:
-        return sum(1 for c in self.coeffs if c)
-
     def to_text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 

@@ -238,6 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_pair(p: argparse.ArgumentParser):
         add_common(p)
+        p.set_defaults(run=_cmd_construct)
         p.add_argument("--m", type=int, required=True, help="co-index parameter")
         p.add_argument("--a", type=str, required=True,
                        help="ascending coefficients of a, e.g. 2,1,2,1")
@@ -256,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="ensemble experiments, one CSV row per (m, delta)")
     add_common(p_sw)
+    p_sw.set_defaults(run=_cmd_sweep)
     p_sw.add_argument("--m", type=str, required=True, help="comma-separated co-index list")
     p_sw.add_argument("--delta", type=str, default=None,
                       help="comma-separated relative-distance thresholds")
@@ -270,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "takes no --delta")
 
     p_bd = sub.add_parser("bounds", help="analytic bound table as JSON")
+    p_bd.set_defaults(run=_cmd_bounds)
     p_bd.add_argument("--q", type=int, required=True)
     p_bd.add_argument("--m", type=int, default=None)
     p_bd.add_argument("--delta", type=str, default=None)
@@ -282,13 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        if args.command in ("construct", "distance"):
-            return _cmd_construct(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        raise ValidationError(f"unknown command {args.command}")
+        return args.run(args)
     except (EnumerationTooLarge, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_LIMIT

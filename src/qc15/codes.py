@@ -6,25 +6,26 @@ last m coordinates one step to the right. Each pair (a, a') with a in R_{2m}
 and a' in R_m spans such a code: the set of all (f*a mod X^{2m}-1,
 f*a' mod X^m-1).
 
-construct_code runs one scan of the span matrix (the 2m circulant rows): dim
-is its rank, the rows it keeps are the generator matrix. The same scan of
-circ(b) gives the dimension and basis of any ideal <b> of R_n
-(ensemble.ideal_basis), and codeword_blocks enumerates the words of a code or
-an ideal from its basis. Every other fact of a code is derived from its
-generator rows when first read: the monic generator and check polynomials g
-and h (g*h = X^{2m}-1, dim = deg h) from row 0, (a, a'), and the projections
-of a restricted code (row 0 repeats w: a = c || c) from the coset
-projections, which give a stack of pairs' dims too (coset_support). Threshold
-queries take one array scan over a stack of spanning rows, which a code runs
-on itself and a sweep on a stack of pairs (lightest_word_weights,
-rref_lightest_weights): two information sets for restricted codes whose w-
-and v-projections have full rank, else one weighted-pivot scan (scan_plan).
-min_distance raises the scan's cap until it answers.
+A code (Qc15Code) is its field and generator matrix. construct_code runs one
+scan of the span matrix (the 2m circulant rows): the rows it keeps are the
+generator matrix, dim rows of 3m columns. The same scan of circ(b) gives the
+dimension and basis of any ideal <b> of R_n (ensemble.ideal_basis), and
+codeword_blocks enumerates the words of a code or an ideal from its basis.
+Every other fact of a code is derived from its generator rows when first
+read: the monic generator and check polynomials g and h (g*h = X^{2m}-1,
+dim = deg h) from row 0, (a, a'), and the projections of a restricted code
+(row 0 repeats w: a = c || c) from the coset projections, which give a stack
+of pairs' dims too (coset_support). Threshold queries take one array scan
+over a stack of spanning rows, which a code runs on itself at each query and
+a sweep on a stack of pairs (lightest_word_weights, rref_lightest_weights):
+two information sets for restricted codes whose w- and v-projections have
+full rank, else one weighted-pivot scan (scan_plan). min_distance raises the
+scan's cap until it answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -217,20 +218,22 @@ class DistanceResult(NamedTuple):
 class Qc15Code:
     """An index-1½ quasi-cyclic code with its derived parameters.
 
-    Four fields are the code, gen_matrix the encodings of X^0..X^{dim-1}:
-    immutable but for rref, projections, a, a', g and h, derived on first
-    read, and the memo `lightest`, which only saves rescans and starts empty
-    however the code is built. All methods are pure. A code compares and
-    hashes by identity: pairs can span one code.
+    The field and gen_matrix are the code: its dim rows are the encodings of
+    X^0..X^{dim-1}, 3m columns wide. m and dim are read off its shape; rref,
+    projections, a, a', g and h are derived on first read. All methods are
+    pure. A code compares and hashes by identity: pairs can span one code.
     """
 
     field: PrimeField
-    m: int
-    dim: int
-    gen_matrix: np.ndarray = dc_field(repr=False)
-    # (cap, lightest_word_weight(cap)) of the widest scan so far; (0, 1) holds
-    # for every nonzero code
-    lightest: tuple[int, int] = dc_field(default=(0, 1), init=False, repr=False)
+    gen_matrix: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.gen_matrix.shape[1] // 3
+
+    @property
+    def dim(self) -> int:
+        return len(self.gen_matrix)
 
     @cached_property
     def rref(self) -> np.ndarray:
@@ -297,12 +300,11 @@ class Qc15Code:
         return Word(self.m, left.coeffs + right.coeffs)
 
     def encode_message(self, y: Sequence[int]) -> Word:
-        """Row vector times generator matrix."""
+        """Row vector times generator matrix: for the zero code, the empty
+        message times no rows, the zero word."""
         if len(y) != self.dim:
             raise DimensionMismatch(f"message length {len(y)} != dim {self.dim}")
         p = self.field.p
-        if self.dim == 0:
-            return Word(self.m, (0,) * self.length)
         out = gf_matmul(np.array([[c % p for c in y]], dtype=np.int64), self.gen_matrix, p)
         return Word(self.m, tuple(int(c) for c in out[0]))
 
@@ -340,16 +342,10 @@ class Qc15Code:
     def lightest_word_weight(self, cap: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
         """min(d_min, cap + 1): the least weight of a nonzero codeword, or
         cap + 1 when every nonzero codeword is heavier than cap (and for the
-        zero code, which has none).
-
-        lightest_word_weights on the stack of this code alone, whose result
-        the memo keeps, so a cap up to the widest scanned checks no limit.
-        """
-        if self.dim and cap > self.lightest[0]:
-            (lightest,) = lightest_word_weights(self.field.p, self.gen_matrix[None], [self.dim],
-                                                [self.projections], cap, limit).tolist()
-            object.__setattr__(self, "lightest", (cap, lightest))
-        return min(self.lightest[1], cap + 1) if self.dim else cap + 1
+        zero code, which has none): lightest_word_weights on the stack of
+        this code alone."""
+        return int(lightest_word_weights(self.field.p, self.gen_matrix[None], [self.dim],
+                                         [self.projections], cap, limit)[0])
 
     def to_json_dict(self, distance: DistanceResult | None = None) -> dict:
         doc = {
@@ -383,7 +379,7 @@ def construct_code(a: RingElement, a_prime: RingElement) -> Qc15Code:
     check_coprime(a_prime.n, a.field.p)
     (dim,), _ = leading_independent_rows(full[None], a.field.p)
     full.setflags(write=False)
-    return Qc15Code(a.field, a_prime.n, int(dim), full[:dim])
+    return Qc15Code(a.field, full[:dim])
 
 
 @lru_cache(maxsize=None)

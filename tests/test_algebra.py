@@ -204,6 +204,8 @@ class TestRingElement:
         assert x.coeffs == (1, 0, 0, 0)
         with pytest.raises(ValueError):
             RingElement(F3, 4, (1, 2))
+        with pytest.raises(ValueError, match="^5 coefficients do not fit in R_4$"):
+            RingElement.from_coeffs(F3, 4, [1, 0, 0, 0, 1])
 
     def test_wraparound_x_times_top_power(self):
         x = RingElement.from_poly(Poly.x_pow(F3, 1), 4)
@@ -338,6 +340,12 @@ class TestCrt:
             f = RingElement(field, 2 * m, tuple(rnd.randrange(field.p) for _ in range(2 * m)))
             u, v = crt_split(f)
             assert crt_combine(u, v) == f
+
+    @pytest.mark.parametrize("degree", (2, 3))
+    def test_combine_rejects_a_residue_of_degree_m(self, degree):
+        v = Poly(F3, (1,) + (0,) * (degree - 1) + (1,))
+        with pytest.raises(ValueError, match=r"^residue mod X\^2\+1 must have degree < 2$"):
+            crt_combine(RingElement.one(F3, 2), v)
 
     def test_split_rejects_odd_length(self):
         with pytest.raises(RingMismatch):

@@ -225,6 +225,14 @@ class TestConstruct:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ("construct", "distance"))
+    @pytest.mark.parametrize("coeffs", (("--a", "1,x", "--a-prime", "1,1"),
+                                        ("--a", "1", "--a-prime", "1,,1")))
+    def test_bad_coefficient_string_exits_2(self, capsys, command, coeffs):
+        rc, out, err = run_cli(capsys, command, "--q", "3", "--m", "2", *coeffs)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bad coefficient string: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ("construct", "distance"))
     def test_negative_max_enum_exits_2(self, capsys, command):
         rc, out, err = run_cli(capsys, command, "--q", "3", "--m", "2", "--a", "2,1",
                                "--a-prime", "2,1", "--max-enum", "-1")
@@ -562,3 +570,8 @@ class TestBounds:
     def test_not_coprime_exits_2(self, capsys):
         rc, _, _ = run_cli(capsys, "bounds", "--q", "3", "--m", "6")
         assert rc == 2
+
+    @pytest.mark.parametrize("m", ("0", "-1"))
+    def test_m_below_one_exits_2(self, capsys, m):
+        assert run_cli(capsys, "bounds", "--q", "3", "--m", m) == (
+            2, "", f"error: m must be positive, got {m}\n")

@@ -266,6 +266,13 @@ class TestConstructCode:
         with pytest.raises(RingMismatch):
             construct_code(RingElement.one(F3, 4), RingElement.one(F3, 3))
 
+    @pytest.mark.parametrize("a, a_prime", (
+        (RingElement.one(F3, 4), RingElement.one(F3, 3)),
+        (RingElement.one(F3, 4), RingElement.one(PrimeField(5), 2))))
+    def test_generator_poly_rejects_a_ring_mismatch(self, a, a_prime):
+        with pytest.raises(RingMismatch, match="^need a in R_2m and a' in R_m, got R_4 and R_"):
+            generator_poly(a, a_prime)
+
     def test_rank_of_span_matrix_equals_dim(self):
         rnd = random.Random(41)
         for m in (2, 4, 5):
@@ -695,6 +702,19 @@ class TestEncode:
         with pytest.raises(DimensionMismatch):
             example1().encode_message([1, 2, 0])
 
+    @pytest.mark.parametrize("p", (3, 4294967311))
+    def test_encode_message_on_the_zero_code(self, p):
+        field = PrimeField(p)
+        zero = construct_code(RingElement.zero(field, 4), RingElement.zero(field, 2))
+        assert zero.dim == 0 and zero.encode_message([]) == Word(2, (0,) * 6)
+        with pytest.raises(DimensionMismatch):
+            zero.encode_message([1])
+
+    @pytest.mark.parametrize("f", (RingElement.one(F3, 2), RingElement.one(PrimeField(5), 4)))
+    def test_encode_rejects_a_message_outside_r_2m(self, f):
+        with pytest.raises(RingMismatch, match=r"^message must live in R_4 over GF\(3\)$"):
+            example1().encode(f)
+
 
 class TestEnumerateAndDistance:
     def test_example1_words(self):
@@ -866,15 +886,13 @@ class TestLowWeightSearch:
             assert [code.has_word_of_weight_at_most(w) for w in ws] == [d <= w for w in ws]
 
     def test_lightest_word_weight_is_capped_min_distance(self):
-        # caps upward rescan each time; caps downward are answered from the
-        # kept widest scan, and must agree
+        # every cap runs its own scan: caps upward on a fresh code, then
+        # downward from the widest, agree
         for code in scan_oracle_codes():
             caps = range(0, code.length + 1)
             d = distance_oracle(code) if code.dim else code.length + 1
             expected = [min(d, cap + 1) for cap in caps]
             assert [code.lightest_word_weight(cap) for cap in caps] == expected
-            if code.dim:
-                assert code.lightest == (code.length, d)
             assert [code.lightest_word_weight(cap) for cap in reversed(caps)] == expected[::-1]
 
     @pytest.mark.parametrize("m", (4, 5))
@@ -1121,12 +1139,12 @@ class TestStackedThresholdScan:
         monkeypatch.setattr(codes, "_weighted_scan",
                             lambda rref, *args: scans.append(len(rref)) or real(rref, *args))
         assert min(distances) == 6
-        for cap in range(1, 7):
+        stack = pair_codes(F3, c, a_prime)
+        for cap in (*range(1, 7), *range(5, 0, -1)):  # up to cap 6 and down again
+            scans.clear()
             expected = [min(d, cap + 1) for d in distances]
             assert lightest_word_weights(3, *arrays, cap).tolist() == expected
-            fresh = pair_codes(F3, c, a_prime)
-            assert [code.lightest_word_weight(cap) for code in fresh] == expected
-            assert [code.lightest for code in fresh] == [(cap, e) for e in expected]
+            assert [code.lightest_word_weight(cap) for code in stack] == expected
             assert (sum(scans) > 0) == (cap == 6)
 
     def test_blocks_of_one_entry(self, monkeypatch):
@@ -1198,54 +1216,70 @@ class TestStackedThresholdScan:
         with pytest.raises(EnumerationTooLarge, match="^9 candidate messages exceed the limit 4$"):
             lightest_word_weights(3, *pick(arrays, by_dim), 2, limit=4)
 
-    def test_narrower_cap_after_a_stacked_call_runs_no_scan(self, monkeypatch):
-        # each code keeps its widest scan, which equals the stack's
+    def test_narrower_cap_after_a_wider_one_checks_its_own_limit(self):
+        # a code keeps no scan: after cap 8 each narrower cap answers as the
+        # stack does and is checked against its own limit, so limit 0 stops
+        # exactly the codes whose plan at cap 5 counts a candidate
         c, a_prime = orbit_pairs(F3, 5)
+        arrays = restricted_stack(F3, c, a_prime)
         stack = pair_codes(F3, c, a_prime)
         widest = [code.lightest_word_weight(8) for code in stack]
-        assert widest == lightest_word_weights(3, *restricted_stack(F3, c, a_prime), 8).tolist()
-        assert all(code.lightest[0] == 8 for code in stack if code.dim)
-
-        def no_scan(*args):
-            raise AssertionError("scanned again")
-
-        for name in ("low_weight_messages", "gf_matmul", "leading_independent_rows"):
-            monkeypatch.setattr(codes, name, no_scan)
         for cap in (8, 5, 1, 0):
             assert [code.lightest_word_weight(cap) for code in stack] == [
-                min(w, cap + 1) for w in widest]
-        # memo hits scan nothing, so no limit stops them
-        assert [code.lightest_word_weight(8, limit=0) for code in stack] == widest
-        assert [code.lightest_word_weight(5, limit=0) for code in stack] == [
-            min(w, 6) for w in widest]
+                min(w, cap + 1) for w in widest] == lightest_word_weights(3, *arrays, cap).tolist()
+        stopped = 0
+        for code, w in zip(stack, widest):
+            plan = scan_plan(3, code.dim, code.projections, 5) if code.dim else (0, 0)
+            if codes.plan_candidates(3, code.dim, plan):
+                stopped += 1
+                with pytest.raises(EnumerationTooLarge, match="exceed the limit 0$"):
+                    code.lightest_word_weight(5, limit=0)
+            else:
+                assert code.lightest_word_weight(5, limit=0) == min(w, 6)
+        assert 0 < stopped < len(stack)
 
-    def test_memo_hits_count_no_candidates(self, monkeypatch):
+    def test_every_query_counts_its_own_candidates(self, monkeypatch):
+        # after a scan at cap 8, each threshold query checks its own plan's
+        # candidates against the limit, once per nonzero code
         c, a_prime = orbit_pairs(F3, 5)
         stack = pair_codes(F3, c, a_prime)
         for code in stack:
             code.lightest_word_weight(8)
-        counted = []
-        real = codes.low_weight_message_count
-        monkeypatch.setattr(codes, "low_weight_message_count",
-                            lambda *args: counted.append(args) or real(*args))
+        checked = []
+        real = codes.check_limit
+        monkeypatch.setattr(codes, "check_limit",
+                            lambda count, *args: checked.append(count) or real(count, *args))
         for t in range(9):
             for code in stack:
+                checked.clear()
                 code.has_word_of_weight_at_most(t)
-        assert counted == []
+                assert checked == ([codes.plan_candidates(
+                    3, code.dim, scan_plan(3, code.dim, code.projections, t))] if code.dim else [])
 
 
 class TestFactsFromGeneratorRows:
-    """A code is its four fields: rref, projections and the plan come from
-    gen_matrix, so a code built directly or by dataclasses.replace answers
-    as construct_code's does, and as the sweeps' arrays do."""
+    """A code is its field and generator matrix: m, dim, rref, projections
+    and the plan come from gen_matrix, so a code built directly or by
+    dataclasses.replace answers as construct_code's does, and as the
+    sweeps' arrays do."""
 
-    def test_four_init_fields_and_an_empty_memo(self):
-        assert [f.name for f in dataclasses.fields(Qc15Code) if f.init] == [
-            "field", "m", "dim", "gen_matrix"]
-        code = example2()
-        assert code.min_distance().distance == 2 and code.lightest != (0, 1)
+    def test_two_fields_with_m_and_dim_read_off_the_matrix(self):
+        assert [f.name for f in dataclasses.fields(Qc15Code)] == ["field", "gen_matrix"]
+        code = example1()  # README's code: dim 2, d = 2
+        with pytest.raises(TypeError):
+            Qc15Code(F3, 2, 1, code.gen_matrix)
+        assert (code.m, code.dim, code.min_distance().distance) == (2, 2, 2)
         twin = dataclasses.replace(code)
-        assert twin.lightest == (0, 1) and not {"rref", "projections"} & set(vars(twin))
+        assert not {"rref", "projections"} & set(vars(twin))
+        assert (twin.m, twin.dim, twin.lightest_word_weight(3)) == (2, 2, 2)
+        one = dataclasses.replace(code, gen_matrix=code.gen_matrix[:1])
+        row_weight = int(np.count_nonzero(code.gen_matrix[0]))
+        assert (one.m, one.dim, one.rate) == (2, 1, Fraction(1, 6))
+        assert (one.a, one.a_prime) == (code.a, code.a_prime)
+        assert one.min_distance().distance == one.lightest_word_weight(6) == row_weight == 6
+        zero = construct_code(RingElement.zero(F3, 8), RingElement.zero(F3, 4))
+        assert zero.gen_matrix.shape == (0, 12) and (zero.m, zero.dim, zero.length) == (4, 0, 12)
+        assert zero.lightest_word_weight(5) == 6 and not zero.has_word_of_weight_at_most(12)
 
     @pytest.mark.parametrize("q, m", ((3, 2), (3, 4), (3, 5), (5, 2), (5, 3)))
     def test_general_codes_built_any_way_match_the_oracle(self, q, m):
@@ -1258,7 +1292,7 @@ class TestFactsFromGeneratorRows:
         assert {code.projections for code in built} == {None} and len(built) >= 8
         for ref in built:
             d = distance_oracle(ref)
-            for build in (lambda: Qc15Code(field, m, ref.dim, ref.gen_matrix),
+            for build in (lambda: Qc15Code(field, ref.gen_matrix),
                           lambda: dataclasses.replace(ref)):
                 assert [build().lightest_word_weight(cap) for cap in caps] == [
                     min(d, cap + 1) for cap in caps]
@@ -1297,7 +1331,7 @@ class TestFactsFromGeneratorRows:
         spans, dims, projections = restricted_stack(F3, c, a_prime)
         for rows, dim, facts, x, y in zip(spans, dims.tolist(), projections, c.tolist(),
                                           a_prime.tolist()):
-            assert Qc15Code(F3, 4, dim, rows[:dim]).projections == facts
+            assert Qc15Code(F3, rows[:dim]).projections == facts
             code = construct_code(RingElement(F3, 8, tuple(x + [0] * 4)),
                                   RingElement(F3, 4, tuple(y)))
             assert (code.projections is None) == any(x)

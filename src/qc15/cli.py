@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -20,6 +21,10 @@ from .algebra import PrimeField, RingElement, min_factor_degree
 from .codes import DEFAULT_ENUM_LIMIT, construct_code
 from .ensemble import CSV_FIELDS, EnsembleReport
 from .errors import BoundOverflow, EnumerationTooLarge, QC15Error
+
+# The objects the imports leave are long-lived: moved out of the collector's
+# generations, no collection during a command scans them again.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

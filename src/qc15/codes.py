@@ -19,8 +19,11 @@ of pairs' dims too (coset_support). Threshold queries take one array scan
 over a stack of spanning rows, which a code runs on itself at each query and
 a sweep on a stack of pairs (lightest_word_weights, rref_lightest_weights):
 two information sets for restricted codes whose w- and v-projections have
-full rank, else one weighted-pivot scan (scan_plan). min_distance raises the
-scan's cap until it answers.
+full rank, else one weighted-pivot scan (scan_plan). A restricted code is
+scanned up to its cyclic shift: only the messages with y_0 = 1, and where
+its projections fall short also D_v, the words zero on w (pinned blocks,
+rref_lightest_weights); the limit counts the unpinned candidates.
+min_distance raises the scan's cap until it answers.
 """
 
 from __future__ import annotations
@@ -439,39 +442,43 @@ def check_limit(count: int, what: str, limit: int) -> None:
 
 
 def _weighted_scan(
-    rref: np.ndarray, p: int, budget: np.ndarray, cap: int, counted: np.ndarray
+    rref: np.ndarray, p: int, budget: np.ndarray, cap: int, counted: np.ndarray,
+    pinned: np.ndarray,
 ) -> np.ndarray:
     """min(cap + 1, the least weight of y @ R) for each R = rref[i] of a (B,
-    dim, length) stack, over the y whose counted single columns weigh <= budget[i].
+    dim, length) stack, over the y whose counted single columns weigh <= budget[i],
+    and only those with y_0 = 1 where pinned[i] (rref_lightest_weights says why).
 
     A column of R whose only nonzero entry sits in row r is a multiple of pivot
     column r, so y @ R is nonzero there exactly when y_r is. With mult[r] such
     counted columns in row r, they carry sum(mult[r] for y_r != 0) of the
     weight of y @ R, so a word missed weighs more than the budget there, and
-    the product is taken over the other columns only. Codes of equal budget
-    and sorted mult share one candidate block (low_weight_messages), whose
-    product is taken against their other columns side by side, in blocks of
-    about PRODUCT_BLOCK entries. The columns are laid out width-major, so
-    each code's weight is a sum of `width` planes of the nonzero mask.
+    the product is taken over the other columns only. Codes of equal budget,
+    pin and sorted mult (a pinned row 0 first) share one candidate block
+    (low_weight_messages), whose product is taken against their other columns
+    side by side, in blocks of about PRODUCT_BLOCK entries. The columns are
+    laid out width-major, so each code's weight is a sum of `width` planes
+    of the nonzero mask.
     """
     (count, dim, length), at = rref.shape, np.arange(len(rref))
     single = ((rref != 0).sum(axis=1) == 1) & counted
     mult = ((rref != 0) & single[:, None]).sum(axis=2)
-    rows = np.argsort(mult, axis=1, kind="stable")
+    rows = np.argsort(np.where(pinned[:, None] & (np.arange(dim) == 0), -1, mult),
+                      axis=1, kind="stable")
     # the other columns first, as many as the widest code has
     cols = np.argsort(single, axis=1, kind="stable")[:, : length - single.sum(axis=1).min()]
     rest = rref[at[:, None, None], rows[:, :, None], cols[:, None, :]]
-    keys = [(w,) + tuple(key) for w, key in
-            zip(budget.tolist(), np.take_along_axis(mult, rows, axis=1).tolist())]
+    keys = [(w, pin) + tuple(key) for w, pin, key in
+            zip(budget.tolist(), pinned.tolist(), np.take_along_axis(mult, rows, axis=1).tolist())]
     best = np.full(count, cap + 1)
     for key in dict.fromkeys(keys):
         group = [i for i, k in enumerate(keys) if k == key]
-        width = length - sum(key[1:])  # every counted single column counts once in mult
+        width = length - sum(key[2:])  # every counted single column counts once in mult
         side_by_side = rest[group, :, :width].transpose(1, 2, 0).reshape(dim, -1)
         if (p - 1) ** 2 * dim < SMALL_SUM:  # cast once for gf_matmul's float32 product
             side_by_side = side_by_side.astype(np.float32)
-        cand = low_weight_messages(p, key[1:], key[0])
-        base = (cand != 0) @ np.array(key[1:])
+        cand = low_weight_messages(p, key[2:], key[0], key[1])
+        base = (cand != 0) @ np.array(key[2:])
         step = max(1, PRODUCT_BLOCK // max(side_by_side.shape[1], 1))
         for lo in range(0, len(cand), step):
             words = gf_matmul(cand[lo : lo + step], side_by_side, p) != 0
@@ -492,15 +499,37 @@ def rref_lightest_weights(rref: np.ndarray, p: int, cap: int, plans: np.ndarray)
     v-systematic form (one leading_independent_rows call, v columns first) are
     scanned to budget b on v. A word both miss weighs more than cap
     (scan_plan): with b = 0 no v-form is needed, as v is an information set.
+
+    A code whose rows repeat w (a = c || c, projections not None) is closed
+    under the shift that rotates w, its copy and v together, and so is D_v,
+    its subcode of words zero on w. Any k consecutive positions of a cyclic
+    code of dim k are an information set, so the RREF pivots at w_0, w_1, ...
+    and then at v_0, v_1, ... on D_v, the rows zero on w. A word with w != 0
+    has a shift of equal weight with w_0 != 0: these scans try only the y
+    with y_0 = 1 (pinned; row 0 pivots at v_0 in the v-form, or where w is
+    always 0). A word with w = 0 lies in D_v, which a code of plan b = -1
+    scans alone, pinned at its first row; with full projections only the
+    zero word has w = 0.
     """
     (a, b), length = plans.T, rref.shape[2]
-    w_side = np.arange(length) < 2 * length // 3
-    best = _weighted_scan(rref, p, np.where(b < 0, a, 2 * a + 1), cap, w_side | (b < 0)[:, None])
+    m = length // 3
+    w_side = np.arange(length) < 2 * m
+    pinned = (rref[:, :, :m] == rref[:, :, m : 2 * m]).all(axis=(1, 2))
+    best = _weighted_scan(rref, p, np.where(b < 0, a, 2 * a + 1), cap,
+                          w_side | (b < 0)[:, None], pinned)
     two = b >= 1
     if two.any():
-        v_first = np.roll(np.arange(length), length // 3)
+        v_first = np.roll(np.arange(length), m)
         _, vform = leading_independent_rows(rref[two][:, :, v_first], p)
-        best[two] = np.minimum(best[two], _weighted_scan(vform, p, b[two], cap, ~w_side[v_first]))
+        best[two] = np.minimum(best[two], _weighted_scan(vform, p, b[two], cap, ~w_side[v_first],
+                                                         pinned[two]))
+    k_w = rref[:, :, :m].any(axis=2).sum(axis=1)  # the rows before D_v
+    # where k_w is 0, D_v is the whole code, already scanned; where it is dim, D_v is 0
+    short = pinned & (b < 0) & (k_w > 0) & (k_w < rref.shape[1])
+    for k in dict.fromkeys(k_w[short].tolist()):
+        on = short & (k_w == k)
+        best[on] = np.minimum(best[on], _weighted_scan(rref[on, k:], p, a[on], cap,
+                                                       True, pinned[on]))  # every column counted
     return best
 
 
@@ -566,19 +595,24 @@ def low_weight_message_count(p: int, k: int, max_weight: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def low_weight_messages(p: int, mult: tuple[int, ...], max_weight: int) -> np.ndarray:
+def low_weight_messages(
+    p: int, mult: tuple[int, ...], max_weight: int, pinned: bool = False
+) -> np.ndarray:
     """All nonzero messages y in F^k, k = len(mult), whose weighted weight
-    (the sum of mult[r] over y_r != 0) is at most max_weight, scalar-normalized.
+    (the sum of mult[r] over y_r != 0) is at most max_weight, scalar-normalized;
+    when pinned, only those with y_0 = 1.
 
     Scaling a message scales the codeword without changing its weight, so the
     first nonzero entry is pinned to 1 and nothing is lost. Built one nonzero
     entry at a time, in as many steps as the widest support: each message of
     a step is extended at each later position j that still fits, by each of
-    y_j = 1..p-1 (by y_j = 1 alone in the first step, from the zero message).
+    y_j = 1..p-1 (by y_j = 1 alone in the first step, from the zero message,
+    and at j = 0 alone when pinned).
     """
     weights, at = np.array(mult, dtype=np.int64), np.arange(len(mult))
-    step = np.eye(len(mult), dtype=np.int64)[weights <= max_weight]
-    last, spent, steps = at[weights <= max_weight], weights[weights <= max_weight], [step]
+    last = at[(weights <= max_weight) & (at < (1 if pinned else len(mult)))]
+    step, spent = np.eye(len(mult), dtype=np.int64)[last], weights[last]
+    steps = [step]
     while len(step):
         row, j = np.nonzero((at > last[:, None]) & (spent[:, None] + weights <= max_weight))
         row, j = row.repeat(p - 1), j.repeat(p - 1)

@@ -289,6 +289,22 @@ class TestSweep:
                               env=env, timeout=120, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_import_heap_is_frozen(self):
+        # the objects importing qc15.cli leaves (about 22,000, numpy's
+        # included) sit in the permanent generation, so the first collection
+        # of a short sweep does not scan them
+        script = (
+            "import gc\n"
+            "import qc15.cli\n"
+            "print(sum(len(gc.get_objects(g)) for g in range(3)), gc.get_freeze_count())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        young, frozen = map(int, proc.stdout.split())
+        assert young < 1000 and frozen > 10_000
+
     @pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS))
     def test_golden_stdout(self, capsys, case):
         options, rows, *status = GOLDEN_SWEEPS[case]

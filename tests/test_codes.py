@@ -1257,6 +1257,96 @@ class TestStackedThresholdScan:
                     3, code.dim, scan_plan(3, code.dim, code.projections, t))] if code.dim else [])
 
 
+def kill_cosets(field: PrimeField, c: np.ndarray, a_prime: np.ndarray, seed: int) -> tuple:
+    """c in even rows and a' in odd rows with its part on one nonzero
+    cyclotomic coset removed, the coset drawn at random: where the other side
+    is nonzero on it, the code's projections fall short of its dim."""
+    p, idempotents = field.p, coset_idempotents(field, c.shape[1])[1:]
+    rng = np.random.default_rng(seed)
+    c, a_prime = c.copy(), a_prime.copy()
+    for k in range(len(c)):
+        side = (c, a_prime)[k % 2]
+        e = circulant_matrix(idempotents[rng.integers(len(idempotents))])
+        side[k] = (side[k] - gf_matmul(side[k : k + 1], e, p)[0]) % p
+    return c, a_prime
+
+
+def lightest_with_w(code: Qc15Code, k_w: int) -> int:
+    """The least weight of a word of the code with w != 0, by exhausting the
+    messages on its RREF that are nonzero on the first k_w rows."""
+    p, dim = code.field.p, code.dim
+    y = np.arange(p**dim)[:, None] // p ** np.arange(dim) % p
+    y = y[y[:, :k_w].any(axis=1)]
+    return int(np.count_nonzero(gf_matmul(y, code.rref, p), axis=1).min())
+
+
+class TestPinnedScan:
+    """A restricted code is scanned up to its cyclic shift: only messages with
+    y_0 = 1 on the row pivoting at w_0 (v_0 in the v-form), and for short
+    projections also D_v, the rows zero on w, pinned at their first row."""
+
+    assert_matches_oracle = TestStackedThresholdScan.assert_matches_oracle
+
+    @pytest.mark.parametrize("q, m", [(3, m) for m in (4, 5, 7, 8, 10, 11)]
+                             + [(5, 3), (5, 4), (5, 6), (7, 3), (7, 4), (7, 5)])
+    def test_short_projections_by_killed_cosets_at_every_cap(self, q, m):
+        field = PrimeField(q)
+        c, a_prime = (x[: 24 if m >= 10 else 64] for x in sampled_pairs(field, m, seed=q * m))
+        c, a_prime = kill_cosets(field, c, a_prime, seed=m)
+        built, bs = self.assert_matches_oracle(field, c, a_prime, range(3 * m + 1))
+        assert -1 in bs
+        # codes whose w-projection falls short, some of whose lightest words
+        # all lie in D_v (w = 0), which the pinned w-scan cannot reach; with
+        # one nonzero coset, c = 0 (D_v is the code, row 0 pivots at v_0) or a' = 0
+        k_w = [rank(circulant_matrix(np.array(x)), q) for x in c.tolist()]
+        short = [(w, code) for w, code in zip(k_w, built) if 0 < w < code.dim]
+        if len(cyclotomic_cosets(m, q).nonzero_sizes()) == 1:
+            assert not short and 0 in k_w
+        else:
+            assert any(lightest_with_w(code, w) > distance_oracle(code) for w, code in short)
+
+    @pytest.mark.parametrize("m", (7, 10, 11))
+    def test_full_projections_with_a_v_form_at_every_cap(self, m):
+        c, a_prime = sampled_pairs(F3, m, seed=m)
+        _, _, projections = restricted_stack(F3, c, a_prime)
+        full = [i for i, facts in enumerate(projections) if facts[0]][:16]
+        built, bs = self.assert_matches_oracle(F3, c[full], a_prime[full], range(3 * m + 1))
+        assert max(bs) >= 2 and all(code.projections == (True, True) for code in built)
+
+    def test_restricted_codes_scan_pinned_blocks_and_general_codes_do_not(self, monkeypatch):
+        blocks = []
+        real = codes.low_weight_messages
+        monkeypatch.setattr(codes, "low_weight_messages",
+                            lambda *args: blocks.append(args[3]) or real(*args))
+        c, a_prime = sampled_pairs(F3, 7, seed=3)
+        lightest_word_weights(3, *restricted_stack(F3, c, a_prime), 9)
+        assert blocks and all(blocks)
+        blocks.clear()
+        rnd = random.Random(7)
+        general = [construct_code(*random_pair(rnd, F3, 7)) for _ in range(8)]
+        assert {code.projections for code in general} == {None}
+        lightest_word_weights(*stack_of(general), 9)
+        assert blocks and not any(blocks)
+
+    @pytest.mark.parametrize("q, max_k", ((3, 7), (5, 4), (7, 4)))
+    def test_pinned_block_is_the_unpinned_rows_with_y0_nonzero(self, q, max_k):
+        rnd = random.Random(q + 1)
+        lwm = codes.low_weight_messages.__wrapped__
+        for cap in range(9):
+            k = rnd.randint(1, max_k)
+            mult = (rnd.randint(1, 3),) + tuple(sorted(rnd.randint(1, 3) for _ in range(k - 1)))
+            got = lwm(q, mult, cap, True)
+            rows = list(map(tuple, got.tolist()))
+            assert got.shape == (len(rows), k) and not got.flags.writeable
+            assert all(y[0] == 1 for y in rows) and len(set(rows)) == len(rows)
+            assert set(rows) == {tuple(x * pow(y[0], -1, q) % q for x in y)
+                                 for y in lwm(q, mult, cap).tolist() if y[0]}
+            # plain weights: C(k - 1, w - 1) (p - 1)^(w - 1) of each weight w
+            assert len(lwm(q, (1,) * k, cap, True)) == sum(
+                math.comb(k - 1, w - 1) * (q - 1) ** (w - 1) for w in range(1, min(cap, k) + 1))
+        assert lwm(q, (4, 1), 3, True).shape == (0, 2)
+
+
 class TestFactsFromGeneratorRows:
     """A code is its field and generator matrix: m, dim, rref, projections
     and the plan come from gen_matrix, so a code built directly or by
